@@ -16,7 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bilinear import canonical_span_rows, coords_in_rows
+from .bilinear import (
+    canonical_span_rows,
+    coords_in_rows,
+    field_carrier,
+    restrict,
+    rows_through,
+)
 from .domains import Domain, Extension, PrimeField, Rationals, poly_xgcd
 from .errors import (
     ActionNotWellFormed,
@@ -294,18 +300,9 @@ def _subalgebra_on(a: CommutativeAlgebra, idempotent):
         basis_i = tuple(d.one() if k == i else d.zero() for k in range(a.dim))
         cols.append(a.mult(idempotent, basis_i))
     basis_rows = canonical_span_rows(d, cols, a.dim)
-    tensor = []
-    for x in basis_rows:
-        row = []
-        for y in basis_rows:
-            prod = a.mult(x, y)
-            coords = coords_in_rows(d, basis_rows, prod)
-            if coords is None:
-                raise RuntimeError("block is not multiplicatively closed")
-            row.append(coords)
-        tensor.append(tuple(row))
+    tensor = restrict(a.mult, d, basis_rows, basis_rows)
     unit_coords = coords_in_rows(d, basis_rows, idempotent)
-    block = CommutativeAlgebra(d, len(basis_rows), tuple(tensor), unit_coords)
+    block = CommutativeAlgebra(d, len(basis_rows), tensor, unit_coords)
     return block, basis_rows
 
 
@@ -435,14 +432,9 @@ def local_decomposition(a: CommutativeAlgebra, seed: int = 0):
         if verdict == "local":
             return [idempotent]
         out = []
-        for e_block in payload:
-            # block coordinates -> original coordinates
-            d = a.base
-            e_orig = [d.zero()] * a.dim
-            for c, row in zip(e_block, basis_rows):
-                for t in range(a.dim):
-                    e_orig[t] = d.add(e_orig[t], d.mul(c, row[t]))
-            out.extend(recurse(tuple(e_orig)))
+        # block coordinates -> original coordinates
+        for e_orig in rows_through(payload, basis_rows, field_carrier(a.base, a.dim)):
+            out.extend(recurse(e_orig))
         return out
 
     idempotents = recurse(a.unit)

@@ -10,8 +10,8 @@ a structure tensor tensor[i][j] = f(b_i, b_j) in N-coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, kernel_basis, kernel_basis_int, rref, solve
+from .linalg import Matrix, kernel_basis, kernel_basis_int, rank, rref, solve
 from .modules import (
     CYCLIC,
     RATIONAL,
@@ -119,18 +119,6 @@ def module_carrier(desc: ModuleDesc) -> Carrier:
     if desc.is_fg_integral():
         return Carrier(ZZ, desc.dim, desc)
     return Carrier(None, desc.dim, desc)
-
-
-def prime_field_carrier_of(desc: ModuleDesc) -> Carrier | None:
-    """Reinterpret a uniform Z/p formal sum as a GF(p) vector space."""
-    moduli = {s.modulus for s in desc.summands if s.kind == CYCLIC}
-    if len(moduli) == 1 and len(desc.summands) == len(desc.bounded_part):
-        p = moduli.pop()
-        try:
-            return field_carrier(PrimeField(p), desc.dim)
-        except ValidationError:
-            return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -273,6 +261,41 @@ def coords_in_rows(domain: Domain, rows, vec):
     mat = Matrix.from_cols(domain, rows)
     res = solve(mat, tuple(vec))
     return None if res is None else res[0]
+
+
+def restrict(mult, domain: Domain, m_rows, n_rows):
+    """Structure tensor of mult on m_rows, in n_rows coordinates (a field).
+
+    Entry [a][b] holds the coordinates of mult(m_rows[a], m_rows[b]) in
+    n_rows; a product outside their span raises ValidationError.
+    """
+    n_rows = list(n_rows)
+    tensor = []
+    for x in m_rows:
+        row = []
+        for y in m_rows:
+            coords = coords_in_rows(domain, n_rows, mult(x, y))
+            if coords is None:
+                raise ValidationError("a product left the span of the target rows")
+            row.append(coords)
+        tensor.append(tuple(row))
+    return tuple(tensor)
+
+
+def rows_through(rows, base_rows, carrier: Carrier):
+    """Interpret rows given in base_rows-coordinates back into the ambient."""
+    if carrier.kind == FIELD:
+        add, mul = carrier.domain.add, carrier.domain.mul
+    else:
+        add, mul = operator.add, operator.mul
+    out = []
+    for row in rows:
+        vec = list(carrier.zero())
+        for c, base in zip(row, base_rows):
+            for t in range(carrier.dim):
+                vec[t] = add(vec[t], mul(c, base[t]))
+        out.append(carrier.reduce(vec))
+    return out
 
 
 # -- kernel and image ----------------------------------------------------------
@@ -447,24 +470,12 @@ class BilinearSplit:
     n_image_basis: tuple
     n_complement_basis: tuple
 
-
-def _restrict_field(f: BilinearMap, basis_rows, image_rows):
-    d = f.m.domain
-    tensor = []
-    for a in basis_rows:
-        row = []
-        for b in basis_rows:
-            value = f.evaluate(a, b)
-            coords = coords_in_rows(d, image_rows, value)
-            if coords is None:
-                raise ValidationError("restricted value left the image span")
-            row.append(coords)
-        tensor.append(tuple(row))
-    return BilinearMap(
-        field_carrier(d, len(basis_rows)),
-        field_carrier(d, len(image_rows)),
-        tuple(tensor),
-    )
+    @property
+    def blocks(self):
+        return (
+            (self.foundation.tensor, self.m_foundation_basis, self.n_image_basis),
+            (self.addition.tensor, self.m_kernel_basis, self.n_complement_basis),
+        )
 
 
 def foundation_addition_split(f: BilinearMap) -> BilinearSplit:
@@ -480,7 +491,11 @@ def foundation_addition_split(f: BilinearMap) -> BilinearSplit:
         d = f.m.domain
         m_found = complement_rows(d, kernel_gens, f.m.dim)
         n_comp = complement_rows(d, image_gens, f.n.dim)
-        foundation = _restrict_field(f, m_found, image_gens)
+        foundation = BilinearMap(
+            field_carrier(d, len(m_found)),
+            field_carrier(d, len(image_gens)),
+            restrict(f.evaluate, d, m_found, image_gens),
+        )
         addition = BilinearMap(
             field_carrier(d, len(kernel_gens)),
             field_carrier(d, len(n_comp)),
@@ -536,55 +551,32 @@ def foundation_addition_split(f: BilinearMap) -> BilinearSplit:
     )
 
 
-def verify_reassembly(f: BilinearMap, split: BilinearSplit) -> bool:
-    """Exact check of f(x, y) = f^F(x_1, y_1) + f^0(x_2, y_2) on basis pairs."""
-    if f.m.kind != FIELD:
-        # over Z, check on the adapted generators: kernel pairs vanish and
-        # foundation pairs reproduce the restricted tensor lifted back to N
-        for x in split.m_kernel_basis:
-            for y in list(split.m_foundation_basis) + list(split.m_kernel_basis):
-                if not f.n.is_zero(f.evaluate(x, y)) or not f.n.is_zero(f.evaluate(y, x)):
-                    return False
-        for a, x in enumerate(split.m_foundation_basis):
-            for b, y in enumerate(split.m_foundation_basis):
-                coords = split.foundation.tensor[a][b]
-                lifted = [0] * f.n.dim
-                for c, gen in zip(coords, split.n_image_basis):
-                    if c == 0:
-                        continue
-                    for t in range(f.n.dim):
-                        if gen[t] != 0:
-                            lifted[t] = lifted[t] + c * gen[t]
-                if not f.n.eq(f.n.reduce(tuple(lifted)), f.evaluate(x, y)):
-                    return False
-        return True
-    d = f.m.domain
-    basis_m = [
-        tuple(d.one() if k == i else d.zero() for k in range(f.m.dim))
-        for i in range(f.m.dim)
-    ]
-    change = list(split.m_foundation_basis) + list(split.m_kernel_basis)
-    for x in basis_m:
-        for y in basis_m:
-            xc = coords_in_rows(d, change, x)
-            yc = coords_in_rows(d, change, y)
-            if xc is None or yc is None:
-                return False
-            nf = len(split.m_foundation_basis)
-            x1, x2 = xc[:nf], xc[nf:]
-            y1, y2 = yc[:nf], yc[nf:]
-            val_f = split.foundation.evaluate(x1, y1) if nf else ()
-            # lift foundation value through the image basis
-            lifted = [d.zero()] * f.n.dim
-            for c, row in zip(val_f, split.n_image_basis):
-                for t in range(f.n.dim):
-                    lifted[t] = d.add(lifted[t], d.mul(c, row[t]))
-            val_0 = split.addition.evaluate(x2, y2) if split.addition.m.dim else ()
-            for c, row in zip(val_0, split.n_complement_basis):
-                for t in range(f.n.dim):
-                    lifted[t] = d.add(lifted[t], d.mul(c, row[t]))
-            if tuple(lifted) != f.evaluate(x, y):
-                return False
+def verify_reassembly(f: BilinearMap, blocks) -> bool:
+    """Exact check that f is the direct sum of its blocks.
+
+    blocks are (tensor, m_rows, n_rows) triples: tensor is the block's
+    structure tensor on m_rows in n_rows coordinates.  Over a field the
+    m_rows of all blocks must form a basis of M; then, by bilinearity, f
+    is reassembled exactly when every pair of rows in one block multiplies
+    to its tensor entry lifted through n_rows, and every pair from two
+    blocks multiplies to zero.  Over Z the rows are adapted generators.
+    """
+    if f.m.kind == FIELD:
+        rows = [row for _, m_rows, _ in blocks for row in m_rows]
+        if len(rows) != f.m.dim or (
+            rows and rank(Matrix.from_rows(f.m.domain, rows)) != f.m.dim
+        ):
+            return False
+    for i, (tensor, m_rows, n_rows) in enumerate(blocks):
+        for j, (_, other_rows, _) in enumerate(blocks):
+            for a, x in enumerate(m_rows):
+                for b, y in enumerate(other_rows):
+                    if i == j:
+                        expected = rows_through([tensor[a][b]], n_rows, f.n)[0]
+                    else:
+                        expected = f.n.zero()
+                    if not f.n.eq(expected, f.evaluate(x, y)):
+                        return False
     return True
 
 

@@ -32,6 +32,11 @@ from .rings import RingPresentation
 
 KINDS = ("bilinear", "ring", "lie", "commutative-algebra", "module")
 
+# Arrays and objects nest at most this deep; a table is four levels and an
+# extension entry five, and the recursive descent must stay far from the
+# interpreter's recursion limit.
+MAX_DEPTH = 64
+
 
 @dataclass
 class Node:
@@ -46,6 +51,7 @@ class _Scanner:
         self.pos = 0
         self.line = 1
         self.col = 1
+        self.depth = 0
 
     def error(self, message):
         raise ParseError(message, self.line, self.col)
@@ -78,10 +84,13 @@ class _Scanner:
         c = self.peek()
         if c == "":
             self.error("unexpected end of input")
-        if c == "{":
-            return self.parse_object()
-        if c == "[":
-            return self.parse_array()
+        if c in "{[":
+            if self.depth == MAX_DEPTH:
+                self.error(f"arrays and objects nest deeper than {MAX_DEPTH} levels")
+            self.depth += 1
+            node = self.parse_object() if c == "{" else self.parse_array()
+            self.depth -= 1
+            return node
         if c == '"':
             return Node(self.parse_string(), line, col)
         if c == "-" or c.isdigit():

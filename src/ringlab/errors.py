@@ -21,18 +21,6 @@ class UnsupportedDegree(RinglabError):
     """Rational factorization beyond the v1 degree bound was requested."""
 
 
-class NeedsExtension(RinglabError):
-    """A construction needs a root that only exists in a field extension.
-
-    Carries the irreducible polynomial (constant-first coefficient tuple)
-    so the caller can re-run over EXTENSION(base, minpoly).
-    """
-
-    def __init__(self, message, minpoly):
-        super().__init__(message)
-        self.minpoly = minpoly
-
-
 class NotOmegaStableShape(RinglabError):
     """A free integer line is present where divisible + bounded is required."""
 
@@ -86,10 +74,6 @@ class AlgebraMismatch(RinglabError):
 
 class ActionNotWellFormed(RinglabError):
     """Module action matrices violate the algebra relations."""
-
-
-class NotEquicharacteristic(RinglabError):
-    """Mixed-characteristic local ring; no field of representatives."""
 
 
 class ExtensionNotOverK0(RinglabError):

@@ -256,11 +256,17 @@ class CommutatorReport:
     deviation_in_l3: bool | None  # commutator . exp(bracket)^-1 in exp(L^3)
 
 
-def group_commutator(g: GroupElement, h: GroupElement) -> CommutatorReport:
+def group_commutator(
+    g: GroupElement, h: GroupElement, max_class: int | None = None
+) -> CommutatorReport:
     """g^-1 h^-1 g h with the leading-term certificates."""
     _same_algebra(g, h)
     l = g.algebra
-    comm = group_mul(group_mul(group_inv(g), group_inv(h)), group_mul(g, h))
+    comm = group_mul(
+        group_mul(group_inv(g), group_inv(h), max_class),
+        group_mul(g, h, max_class),
+        max_class,
+    )
     bracket = l.bracket(g.log, h.log)
     bracket_zero = l.ring.carrier.is_zero(bracket)
     equivalence = comm.is_identity() == bracket_zero
@@ -269,7 +275,7 @@ def group_commutator(g: GroupElement, h: GroupElement) -> CommutatorReport:
     if l.nilpotency_class <= 2:
         class2 = comm.log == tuple(bracket)
     else:
-        diff = bch(l, comm.log, l.ring.carrier.neg(bracket))
+        diff = bch(l, comm.log, l.ring.carrier.neg(bracket), max_class)
         l3 = l.lower_central_series[2] if len(l.lower_central_series) > 2 else ()
         deviation = (
             coords_in_rows(l.domain, list(l3), diff) is not None
@@ -307,7 +313,9 @@ class CorrespondenceReport:
     series_commutator_drop: bool    # [exp L^i, exp L] lands in exp(L^{i+1})
 
 
-def central_series_and_center(l: NilpotentLieAlgebra) -> CorrespondenceReport:
+def central_series_and_center(
+    l: NilpotentLieAlgebra, max_class: int | None = None
+) -> CorrespondenceReport:
     d = l.domain
     ann = annihilator(l.ring)
     basis = [
@@ -319,7 +327,7 @@ def central_series_and_center(l: NilpotentLieAlgebra) -> CorrespondenceReport:
         ga = GroupElement(l, a)
         for b in basis:
             gb = GroupElement(l, b)
-            if not group_commutator(ga, gb).commutator.is_identity():
+            if not group_commutator(ga, gb, max_class).commutator.is_identity():
                 centre_ok = False
     # a non-central log must fail to commute with some basis exp
     for b in basis:
@@ -327,7 +335,7 @@ def central_series_and_center(l: NilpotentLieAlgebra) -> CorrespondenceReport:
             continue
         gb = GroupElement(l, b)
         if all(
-            group_commutator(gb, GroupElement(l, c)).commutator.is_identity()
+            group_commutator(gb, GroupElement(l, c), max_class).commutator.is_identity()
             for c in basis
         ):
             centre_ok = False
@@ -337,7 +345,7 @@ def central_series_and_center(l: NilpotentLieAlgebra) -> CorrespondenceReport:
         rows = list(rows)
         for u in rows:
             for v in rows:
-                if coords_in_rows(d, rows, bch(l, u, v)) is None:
+                if coords_in_rows(d, rows, bch(l, u, v, max_class)) is None:
                     closed_ok = False
         next_rows = (
             list(l.lower_central_series[depth + 1])
@@ -347,7 +355,9 @@ def central_series_and_center(l: NilpotentLieAlgebra) -> CorrespondenceReport:
         for u in rows:
             gu = GroupElement(l, u)
             for b in basis:
-                log_comm = group_commutator(gu, GroupElement(l, b)).commutator.log
+                log_comm = group_commutator(
+                    gu, GroupElement(l, b), max_class
+                ).commutator.log
                 if next_rows:
                     if coords_in_rows(d, next_rows, log_comm) is None:
                         drop_ok = False
@@ -380,7 +390,9 @@ class GroupDecomposition:
     cross_commutators_trivial: bool
 
 
-def group_decompose(l: NilpotentLieAlgebra, seed: int = 0) -> GroupDecomposition:
+def group_decompose(
+    l: NilpotentLieAlgebra, seed: int = 0, max_class: int | None = None
+) -> GroupDecomposition:
     """Decompose the underlying Lie ring, pull the factors through exp,
     and certify that cross-factor commutators are trivial."""
     deco = decompose_char0(l.ring, seed)
@@ -406,7 +418,7 @@ def group_decompose(l: NilpotentLieAlgebra, seed: int = 0) -> GroupDecomposition
                 for v in b:
                     gu = GroupElement(l, u)
                     gv = GroupElement(l, v)
-                    if not group_commutator(gu, gv).commutator.is_identity():
+                    if not group_commutator(gu, gv, max_class).commutator.is_identity():
                         cross_ok = False
     return GroupDecomposition(
         factors=tuple(factors),

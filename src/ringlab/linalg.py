@@ -149,22 +149,6 @@ class Matrix:
         )
 
 
-def vec_add(domain, a, b):
-    return tuple(domain.add(x, y) for x, y in zip(a, b))
-
-
-def vec_sub(domain, a, b):
-    return tuple(domain.sub(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(domain, c, a):
-    return tuple(domain.mul(c, x) for x in a)
-
-
-def vec_is_zero(domain, a):
-    return all(domain.is_zero(x) for x in a)
-
-
 # -- field linear algebra --------------------------------------------------
 
 
@@ -247,38 +231,6 @@ def inverse(m: Matrix) -> Matrix:
     if rk < m.rows or any(p >= m.rows for p in pivots):
         raise ZeroDivisionError("matrix is singular")
     return reduced.submatrix(range(m.rows), range(m.rows, 2 * m.rows))
-
-
-def column_space_basis(m: Matrix) -> Matrix:
-    """Pivot columns of m: a basis of its column space."""
-    _, pivots, _ = rref(m)
-    return m.submatrix(range(m.rows), pivots)
-
-
-def echelon_row_basis(m: Matrix) -> Matrix:
-    """Nonzero rows of rref(m): the canonical basis of the row space."""
-    reduced, _, rk = rref(m)
-    return reduced.submatrix(range(rk), range(m.cols))
-
-
-def in_column_space(m: Matrix, vec) -> bool:
-    return solve(m, vec) is not None
-
-
-def extend_to_basis(m: Matrix) -> Matrix:
-    """Append standard basis columns to the columns of m until full rank."""
-    d = m.domain
-    cols = [m.col(j) for j in range(m.cols)]
-    current = m
-    for i in range(m.rows):
-        if rank(current) == m.rows:
-            break
-        e = tuple(d.one() if k == i else d.zero() for k in range(m.rows))
-        candidate = current.hstack(Matrix.from_cols(d, [e]))
-        if rank(candidate) > rank(current):
-            cols.append(e)
-            current = candidate
-    return Matrix.from_cols(d, cols)
 
 
 # -- integer linear algebra -------------------------------------------------

@@ -18,6 +18,7 @@ from math import gcd as int_gcd, isqrt
 
 from .domains import (
     Domain,
+    Extension,
     PrimeField,
     QQ,
     Rationals,
@@ -128,7 +129,12 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             if self.domain.is_zero(c):
                 continue
-            s = self.domain.format(c)
+            if isinstance(self.domain, Extension):
+                # a coefficient is itself a polynomial in the generator t
+                s = self.domain.format_text(c)
+                s = f"({s})" if " + " in s else s
+            else:
+                s = self.domain.format(c)
             if i == 0:
                 terms.append(f"{s}")
             elif i == 1:

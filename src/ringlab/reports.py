@@ -68,11 +68,12 @@ def _fmt_rows(carrier, rows, names):
 
 
 def _residue_text(lf) -> str:
+    base = lf.algebra.base
     if lf.residue_degree == 1:
-        return lf.algebra.base.describe()
-    return (
-        f"{lf.algebra.base.describe()}[t]/({lf.residue_minpoly.format('t')})"
-    )
+        return base.describe()
+    # an extension base already names its generator t
+    var = "s" if isinstance(base, Extension) else "t"
+    return f"{base.describe()}[{var}]/({lf.residue_minpoly.format(var)})"
 
 
 def analyze(doc: InputDocument, opts: AnalyzeOptions | None = None) -> dict:
@@ -138,7 +139,7 @@ def analyze_bilinear(doc: InputDocument, opts: AnalyzeOptions) -> dict:
         report["foundation"] = {
             "dim": split.foundation.m.dim,
             "codomain_dim": split.foundation.n.dim,
-            "reassembly_exact": bilinear.verify_reassembly(f, split),
+            "reassembly_exact": bilinear.verify_reassembly(f, split.blocks),
         }
         report["addition"] = {"dim": split.addition.m.dim}
         foundation = split.foundation
@@ -167,9 +168,7 @@ def analyze_bilinear(doc: InputDocument, opts: AnalyzeOptions) -> dict:
                     }
                 )
             report["components"] = comps
-            report["reassembly_exact"] = scalars.verify_decomposition_reassembly(
-                target, deco
-            )
+            report["reassembly_exact"] = bilinear.verify_reassembly(target, deco.blocks)
     return report
 
 
@@ -297,14 +296,16 @@ def analyze_lie(doc: InputDocument, opts: AnalyzeOptions) -> dict:
         "nilpotency_class": l.nilpotency_class,
         "lower_central_series_dims": [len(rows) for rows in l.lower_central_series],
     }
-    corr = _stage("central_series_and_center", lie_mod.central_series_and_center, l)
+    corr = _stage("central_series_and_center", lie_mod.central_series_and_center,
+                  l, opts.max_class)
     report["center"] = _fmt_rows(r.carrier, corr.center_rows, names)
     report["correspondence"] = {
         "center_certified": corr.centre_certified,
         "series_group_closed": corr.series_group_closed,
         "series_commutator_drop": corr.series_commutator_drop,
     }
-    deco = _stage("group_decompose", lie_mod.group_decompose, l, opts.seed)
+    deco = _stage("group_decompose", lie_mod.group_decompose, l, opts.seed,
+                  opts.max_class)
     report["group_factors"] = [
         {
             "dim": f.algebra.dim,

@@ -33,8 +33,11 @@ from .bilinear import (
     field_carrier,
     image_submodule,
     module_carrier,
+    restrict,
+    rows_through,
     torsion_split,
     two_sided_kernel,
+    verify_reassembly,
 )
 from .domains import Domain, Extension, PrimeField, QQ, Rationals
 from .errors import (
@@ -150,18 +153,8 @@ class RingPresentation:
 def ring_on_rows(parent: RingPresentation, rows) -> RingPresentation:
     """The subring spanned by rows (field carriers), on its own basis."""
     d = parent.carrier.domain
-    f = parent.as_bilinear()
-    tensor = []
-    for x in rows:
-        row = []
-        for y in rows:
-            value = f.evaluate(x, y)
-            coords = coords_in_rows(d, list(rows), value)
-            if coords is None:
-                raise ValidationError("rows do not span a subring")
-            row.append(coords)
-        tensor.append(tuple(row))
-    return RingPresentation(field_carrier(d, len(rows)), tuple(tensor))
+    tensor = restrict(parent.as_bilinear().evaluate, d, rows, rows)
+    return RingPresentation(field_carrier(d, len(rows)), tensor)
 
 
 # -- basic ideals ----------------------------------------------------------------
@@ -246,14 +239,8 @@ def span_intersection_rows(domain: Domain, rows_a, rows_b, dim: int):
     cols = [tuple(r) for r in rows_a] + [tuple(domain.neg(c) for c in r) for r in rows_b]
     mat = Matrix.from_cols(domain, cols)
     kern = kernel_basis(mat)
-    vectors = []
-    for j in range(kern.cols):
-        coeffs = kern.col(j)[: len(rows_a)]
-        vec = [domain.zero()] * dim
-        for c, row in zip(coeffs, rows_a):
-            for t in range(dim):
-                vec[t] = domain.add(vec[t], domain.mul(c, row[t]))
-        vectors.append(tuple(vec))
+    coeffs = [kern.col(j)[: len(rows_a)] for j in range(kern.cols)]
+    vectors = rows_through(coeffs, rows_a, field_carrier(domain, dim))
     return canonical_span_rows(domain, vectors, dim)
 
 
@@ -569,13 +556,7 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
             "Delta(R) = R^2 n Ann(R) does not split off inside Ann(R): "
             "no addition exists", which="addition",
         )
-    r0_rows = []
-    for coords in r0_in_ann:
-        vec = list(r.carrier.zero())
-        for c, row in zip(coords, ann_sub.basis):
-            for t in range(r.dim):
-                vec[t] = vec[t] + c * row[t]
-        r0_rows.append(r.carrier.reduce(vec))
+    r0_rows = rows_through(r0_in_ann, ann_sub.basis, r.carrier)
     found_gens = split_complement(r0_rows, r.carrier.desc, kill=sq)
     if found_gens is None:
         raise NoSplit(
@@ -669,15 +650,9 @@ def component_enrichment(ring: RingPresentation, seed: int = 0) -> Enrichment:
         raise ValidationError("component centroid is not local: ring decomposes")
     lf = factors[0]
     rep = field_of_representatives(lf)
-    mats = []
-    d = cent.domain
-    for block_row in rep.basis:
-        # block coords -> centroid coords -> endomorphism
-        cent_coords = [d.zero()] * alg.dim
-        for c, row in zip(block_row, lf.basis):
-            for t in range(alg.dim):
-                cent_coords[t] = d.add(cent_coords[t], d.mul(c, row[t]))
-        mats.append(cent.combine(tuple(cent_coords)))
+    # block coords -> centroid coords -> endomorphism
+    cent_rows = rows_through(rep.basis, lf.basis, field_carrier(cent.domain, alg.dim))
+    mats = [cent.combine(row) for row in cent_rows]
     return Enrichment(tuple(mats), rep.minpoly.coeffs, lf.residue_degree)
 
 
@@ -714,7 +689,7 @@ class RingComponent:
 @dataclass(frozen=True)
 class RingDecomposition:
     components: tuple
-    addition: RingPresentation | None
+    addition: RingPresentation
     addition_rows: tuple
     foundation_rows: tuple
     ann_rows: tuple
@@ -728,21 +703,11 @@ class RingDecomposition:
         rows.extend(self.addition_rows)
         return tuple(rows)
 
-
-def _rows_through(rows, base_rows, carrier: Carrier):
-    """Interpret rows given in base_rows-coordinates back into the ambient."""
-    out = []
-    for row in rows:
-        vec = list(carrier.zero())
-        for c, base in zip(row, base_rows):
-            for t in range(carrier.dim):
-                vec[t] = (
-                    carrier.domain.add(vec[t], carrier.domain.mul(c, base[t]))
-                    if carrier.kind == FIELD
-                    else vec[t] + c * base[t]
-                )
-        out.append(carrier.reduce(vec))
-    return out
+    @property
+    def blocks(self):
+        out = [(c.ring.tensor, c.rows, c.rows) for c in self.components]
+        out.append((self.addition.tensor, self.addition_rows, self.addition_rows))
+        return tuple(out)
 
 
 def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
@@ -798,13 +763,13 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
             if len(trial) > len(current):
                 d_rows.append(q)
                 current = trial
-        s_part = _rows_through(s_rows_sq, scalar.square_rows, rf.carrier)
-        d_part = _rows_through(d_rows, scalar.quotient_rows, rf.carrier)
+        s_part = rows_through(s_rows_sq, scalar.square_rows, rf.carrier)
+        d_part = rows_through(d_rows, scalar.quotient_rows, rf.carrier)
         comp_rows_rf = list(s_part) + list(d_part)
         if len(canonical_span_rows(d, comp_rows_rf, rf.dim)) != len(comp_rows_rf):
             raise RuntimeError("component basis is not independent")
         comp_ring = ring_on_rows(rf, comp_rows_rf)
-        rows_ambient = _rows_through(comp_rows_rf, split.foundation_rows, r.carrier)
+        rows_ambient = rows_through(comp_rows_rf, split.foundation_rows, r.carrier)
         enrichment = component_enrichment(comp_ring, seed)
         if enrichment.residue_degree != lf.residue_degree:
             raise RuntimeError(
@@ -849,36 +814,7 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
 
 def verify_ring_reassembly(r: RingPresentation, deco: RingDecomposition) -> bool:
     """Exact: block tensors pushed through the recorded rows reproduce r."""
-    d = r.carrier.domain
-    change = list(deco.change_rows)
-    if len(change) != r.dim:
-        return False
-    sizes = [len(c.rows) for c in deco.components]
-    f = r.as_bilinear()
-    basis = [
-        tuple(d.one() if k == i else d.zero() for k in range(r.dim))
-        for i in range(r.dim)
-    ]
-    for x in basis:
-        xc = coords_in_rows(d, change, x)
-        if xc is None:
-            return False
-        for y in basis:
-            yc = coords_in_rows(d, change, y)
-            total = [d.zero()] * r.dim
-            off = 0
-            for comp, size in zip(deco.components, sizes):
-                xs = xc[off : off + size]
-                ys = yc[off : off + size]
-                value = comp.ring.mult(xs, ys)
-                for c, row in zip(value, comp.rows):
-                    for t in range(r.dim):
-                        total[t] = d.add(total[t], d.mul(c, row[t]))
-                off += size
-            # the addition block multiplies to zero
-            if tuple(total) != f.evaluate(x, y):
-                return False
-    return True
+    return verify_reassembly(r.as_bilinear(), deco.blocks)
 
 
 # -- mixed and bounded cases -------------------------------------------------------
@@ -948,7 +884,7 @@ def decompose_bounded(r: RingPresentation, seed: int = 0) -> CentralProductRepor
     for lf in factors:
         e_q = scalar.algebra.combine(lf.idempotent)
         q_rows = canonical_span_rows(d, [e_q.col(j) for j in range(e_q.cols)], e_q.rows)
-        lifted = _rows_through(q_rows, scalar.quotient_rows, r.carrier)
+        lifted = rows_through(q_rows, scalar.quotient_rows, r.carrier)
         rows = canonical_span_rows(d, list(lifted) + list(ann), r.dim)
         comp_ring = ring_on_rows(r, rows)
         components.append(
@@ -1018,13 +954,8 @@ def model_construct(
     lf = factors[0]
     d = base
     # J-adapted basis: extend the filtration J^m R < ... < J R < R bottom-up
-    j_mats = []
-    for row in lf.radical_rows:
-        coords = [d.zero()] * alg.dim
-        for c, b in zip(row, lf.basis):
-            for t in range(alg.dim):
-                coords[t] = d.add(coords[t], d.mul(c, b[t]))
-        j_mats.append(cent.combine(tuple(coords)))
+    j_rows = rows_through(lf.radical_rows, lf.basis, field_carrier(d, alg.dim))
+    j_mats = [cent.combine(row) for row in j_rows]
     spaces = []
     current = [
         tuple(d.one() if k == i else d.zero() for k in range(r.dim))

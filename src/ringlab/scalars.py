@@ -29,6 +29,8 @@ from .bilinear import (
     field_carrier,
     image_submodule,
     is_full,
+    restrict,
+    rows_through,
     two_sided_kernel,
 )
 from .domains import Domain, PrimeField
@@ -280,11 +282,7 @@ def _apply_action_in_n(report: ScalarRingReport, index: int, value, d: Domain, n
     if coords is None:
         return None
     moved = report.action_on_image[index].apply(coords)
-    out = [d.zero()] * n_dim
-    for c, row in zip(moved, report.image_rows):
-        for t in range(n_dim):
-            out[t] = d.add(out[t], d.mul(c, row[t]))
-    return tuple(out)
+    return rows_through([moved], report.image_rows, field_carrier(d, n_dim))[0]
 
 
 def _certify_bilinearity(f: BilinearMap, report: ScalarRingReport) -> bool:
@@ -436,12 +434,8 @@ class BilinearDecomposition:
     scalar_algebra: CommutativeAlgebra
 
     @property
-    def m_change_rows(self):
-        return tuple(row for c in self.components for row in c.m_rows)
-
-    @property
-    def n_change_rows(self):
-        return tuple(row for c in self.components for row in c.n_rows)
+    def blocks(self):
+        return tuple((c.map.tensor, c.m_rows, c.n_rows) for c in self.components)
 
 
 def decompose_via_scalars(f: BilinearMap, seed: int = 0) -> BilinearDecomposition:
@@ -464,18 +458,10 @@ def decompose_via_scalars(f: BilinearMap, seed: int = 0) -> BilinearDecompositio
         e_n = im_mat_t.mul(alpha).mul(im_mat_t_inv)
         m_rows = canonical_span_rows(d, [e_m.col(j) for j in range(e_m.cols)], f.m.dim)
         n_rows = canonical_span_rows(d, [e_n.col(j) for j in range(e_n.cols)], f.n.dim)
-        tensor = []
-        for x in m_rows:
-            row = []
-            for y in m_rows:
-                value = f.evaluate(x, y)
-                coords = coords_in_rows(d, n_rows, value)
-                if coords is None:
-                    raise RuntimeError("component value left its image block")
-                row.append(coords)
-            tensor.append(tuple(row))
         comp_map = BilinearMap(
-            field_carrier(d, len(m_rows)), field_carrier(d, len(n_rows)), tuple(tensor)
+            field_carrier(d, len(m_rows)),
+            field_carrier(d, len(n_rows)),
+            restrict(f.evaluate, d, m_rows, n_rows),
         )
         components.append(
             BilinearComponent(comp_map, tuple(m_rows), tuple(n_rows), lf)
@@ -505,40 +491,6 @@ def _verify_component_structure(f: BilinearMap, deco: BilinearDecomposition):
             raise RuntimeError(
                 "component scalar ring does not match its local factor"
             )
-
-
-def verify_decomposition_reassembly(f: BilinearMap, deco: BilinearDecomposition) -> bool:
-    """Exact: pushing the block tensors through the recorded bases gives f."""
-    d = f.m.domain
-    m_rows = list(deco.m_change_rows)
-    n_rows = list(deco.n_change_rows)
-    sizes_m = [len(c.m_rows) for c in deco.components]
-    sizes_n = [len(c.n_rows) for c in deco.components]
-    basis = [
-        tuple(d.one() if k == i else d.zero() for k in range(f.m.dim))
-        for i in range(f.m.dim)
-    ]
-    for x in basis:
-        xc = coords_in_rows(d, m_rows, x)
-        for y in basis:
-            yc = coords_in_rows(d, m_rows, y)
-            if xc is None or yc is None:
-                return False
-            total = [d.zero()] * f.n.dim
-            off_m = 0
-            off_n = 0
-            for comp, sm, sn in zip(deco.components, sizes_m, sizes_n):
-                xs = xc[off_m : off_m + sm]
-                ys = yc[off_m : off_m + sm]
-                value = comp.map.evaluate(xs, ys)
-                for c, row in zip(value, n_rows[off_n : off_n + sn]):
-                    for t in range(f.n.dim):
-                        total[t] = d.add(total[t], d.mul(c, row[t]))
-                off_m += sm
-                off_n += sn
-            if tuple(total) != f.evaluate(x, y):
-                return False
-    return True
 
 
 # -- A(R): the largest ring of scalars of a ring multiplication ---------------------
@@ -574,18 +526,10 @@ def largest_scalar_action(
     d = mult.m.domain
     dim = mult.m.dim
     q_rows = complement_rows(d, list(ann_rows), dim)
-    tensor = []
-    for x in q_rows:
-        row = []
-        for y in q_rows:
-            value = mult.evaluate(x, y)
-            coords = coords_in_rows(d, list(square_rows), value)
-            if coords is None:
-                raise RuntimeError("a product left the span of R^2")
-            row.append(coords)
-        tensor.append(tuple(row))
     fprime = BilinearMap(
-        field_carrier(d, len(q_rows)), field_carrier(d, len(square_rows)), tuple(tensor)
+        field_carrier(d, len(q_rows)),
+        field_carrier(d, len(square_rows)),
+        restrict(mult.evaluate, d, q_rows, square_rows),
     )
     if two_sided_kernel(fprime):
         raise RuntimeError("induced quotient map is degenerate")

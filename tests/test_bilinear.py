@@ -144,14 +144,14 @@ def test_foundation_split_heisenberg_style():
     assert split.foundation.n.dim == 1
     assert is_full(split.foundation) and is_nondegenerate(split.foundation)
     assert is_identically_degenerate(split.addition)
-    assert verify_reassembly(HEIS_Q3, split)
+    assert verify_reassembly(HEIS_Q3, split.blocks)
 
 
 def test_foundation_split_nondegenerate_is_identity():
     split = foundation_addition_split(ALT_Q2)
     assert split.foundation.m.dim == 2
     assert split.addition.m.dim == 0
-    assert verify_reassembly(ALT_Q2, split)
+    assert verify_reassembly(ALT_Q2, split.blocks)
 
 
 def test_foundation_split_paper_example_fails():
@@ -179,8 +179,37 @@ def test_foundation_split_integer_success():
         (((1, 0), (0, 0)), ((0, 0), (0, 0))),
     )
     split = foundation_addition_split(f)
-    assert verify_reassembly(f, split)
+    assert verify_reassembly(f, split.blocks)
     assert split.foundation.m.dim == 1
+
+
+def test_reassembly_rejects_a_perturbed_block_entry():
+    split = foundation_addition_split(HEIS_Q3)
+    (tensor, m_rows, n_rows), addition = split.blocks
+    bad = [list(row) for row in tensor]
+    bad[0][1] = tuple(c + 1 for c in bad[0][1])
+    assert verify_reassembly(HEIS_Q3, split.blocks)
+    assert not verify_reassembly(HEIS_Q3, [(bad, m_rows, n_rows), addition])
+
+
+def test_reassembly_rejects_rows_that_do_not_span():
+    # every product of the zero map vanishes: only the basis check can fail
+    zero = (((),),)
+    e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    twice_e1 = (Fraction(2), Fraction(0))
+    assert verify_reassembly(ZERO_Q2, [(zero, (e1,), ()), (zero, (e2,), ())])
+    assert not verify_reassembly(ZERO_Q2, [(zero, (e1,), ()), (zero, (twice_e1,), ())])
+
+
+def test_reassembly_rejects_a_nonzero_cross_product():
+    x, y, z = (tuple(Fraction(int(i == k)) for i in range(3)) for k in range(3))
+    n_row = ((Fraction(1),),)
+    zero = (((Fraction(0),),),)
+    bracket = (((Fraction(0),), (Fraction(1),)), ((Fraction(-1),), (Fraction(0),)))
+    assert verify_reassembly(HEIS_Q3, [(bracket, (x, y), n_row), (zero, (z,), n_row)])
+    # x and y in blocks of their own: each block holds, but f(x, y) != 0
+    blocks = [(zero, (row,), n_row) for row in (x, y, z)]
+    assert not verify_reassembly(HEIS_Q3, blocks)
 
 
 def test_torsion_split_blocks():

@@ -186,3 +186,33 @@ def test_round_trip_all_fixtures():
         text = serialize_document(doc)
         doc2 = load_document(text)
         assert serialize_document(doc2) == text
+
+
+def test_analyze_max_class_caps_bch():
+    code, out, err = run_cli("analyze", fixture_path("h3"), "--max-class", "1")
+    assert code == 2 and not out
+    assert "stage 'central_series_and_center'" in err
+    assert "class 2 exceeds the BCH cap 1" in err
+
+
+def test_deeply_nested_document_is_parse_error():
+    import tempfile
+
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
+        f.write("[" * 5000 + "]" * 5000)
+        path = f.name
+    code, _, err = run_cli("analyze", path)
+    assert code == 1
+    assert err.startswith("ringlab: invalid input:")
+    assert "(line 1, column" in err
+
+
+def test_residue_field_over_extension_base():
+    code, out, _ = run_cli(
+        "analyze", fixture_path("q-x2-2-squared"), "--extension=1,0,1"
+    )
+    assert code == 0
+    (line,) = [l.strip() for l in out.splitlines() if "residue_field" in l]
+    assert "[" not in line.replace("[t]", "").replace("[s]", "")
+    assert line.count("t") == line.count("[t]") == 1
+    assert line == "residue_field: Q[t]/(1,0,1)[s]/(-2 + s^2)"

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from ringlab.bilinear import BilinearMap, field_carrier, foundation_addition_split
+from ringlab.bilinear import (
+    BilinearMap,
+    field_carrier,
+    foundation_addition_split,
+    verify_reassembly,
+)
 from ringlab.domains import PrimeField, QQ
 from ringlab.errors import DegenerateInput
 from ringlab.linalg import Matrix
@@ -13,7 +18,6 @@ from ringlab.scalars import (
     p_of_f,
     symmetric_endos,
     tensor_matrix,
-    verify_decomposition_reassembly,
     z_center,
     z_n_chain,
     z_n_diagnostic,
@@ -164,20 +168,20 @@ def test_decompose_alternating_sum():
     deco = decompose_via_scalars(ALT_SUM)
     assert len(deco.components) == 2
     assert all(c.map.m.dim == 2 for c in deco.components)
-    assert verify_decomposition_reassembly(ALT_SUM, deco)
+    assert verify_reassembly(ALT_SUM, deco.blocks)
 
 
 def test_decompose_indecomposable_unchanged():
     deco = decompose_via_scalars(ALT_Q2)
     assert len(deco.components) == 1
-    assert verify_decomposition_reassembly(ALT_Q2, deco)
+    assert verify_reassembly(ALT_Q2, deco.blocks)
 
 
 def test_decompose_gf2_diagonal():
     f = gfmap(2, 2, 2, {(0, 0): (1, 0), (1, 1): (0, 1)})
     deco = decompose_via_scalars(f)
     assert len(deco.components) == 2
-    assert verify_decomposition_reassembly(f, deco)
+    assert verify_reassembly(f, deco.blocks)
 
 
 def heisenberg_mult_map():
