@@ -13,8 +13,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gfenum
 from .domains import Domain, PrimeField, QQ, Rationals, ZZ
 from .errors import (
@@ -608,7 +606,7 @@ def width(f: BilinearMap, search_bound: int = 16) -> WidthReport:
     if f.m.kind == FIELD and isinstance(f.m.domain, PrimeField):
         p = f.m.domain.p
         if p**f.m.dim <= _WIDTH_ENUM_CAP:
-            return _width_bfs(f, search_bound)
+            return _width_bfs(f, image, search_bound)
     if f.m.kind == FIELD:
         certs = _pivot_entry_certificates(f)
         bound = len(image)
@@ -633,28 +631,9 @@ def _pivot_entry_certificates(f: BilinearMap):
     return tuple(chosen)
 
 
-def _width_bfs(f: BilinearMap, search_bound: int) -> WidthReport:
+def _width_bfs(f: BilinearMap, image, search_bound: int) -> WidthReport:
     p = f.m.domain.p
-    xs = gfenum.all_vectors(p, f.m.dim)
-    tens = np.array(
-        [[[int(c) % p for c in f.tensor[i][j]] for j in range(f.m.dim)] for i in range(f.m.dim)],
-        dtype=np.int64,
-    )
-    # all products f(x, y) over all pairs
-    left = np.einsum("ad,det->aet", xs.astype(np.int64), tens) % p
-    prods = np.einsum("aet,be->abt", left, xs.astype(np.int64)) % p
-    values = gfenum.unique_rows(prods.reshape(-1, f.n.dim).astype(np.int16), p)
-    image_gens = np.array(
-        [[int(c) % p for c in g] for g in image_submodule(f)], dtype=np.int16
-    )
-    target = gfenum.span_rows(image_gens, p)
-    reach = values
-    k = 1
-    while not gfenum.same_row_set(
-        gfenum.unique_rows(np.concatenate([reach, target]), p), reach, p
-    ):
-        k += 1
-        if k > search_bound:
-            raise SearchBoundExceeded(f"width exceeded the search bound {search_bound}")
-        reach = gfenum.sumset(reach, values, p)
+    k = gfenum.closure_width(gfenum.products(f.tensor, p), image, p, search_bound)
+    if k is None:
+        raise SearchBoundExceeded(f"width exceeded the search bound {search_bound}")
     return WidthReport(k, k, True, ())

@@ -127,7 +127,7 @@ def _cmd_malcev(args) -> int:
     if args.subcommand == "mul":
         g = _parse_group_element(args.args[0], algebra)
         h = _parse_group_element(args.args[1], algebra)
-        result = {"operation": "mul", "result": fmt_coords(group_mul(g, h))}
+        result = {"operation": "mul", "result": fmt_coords(group_mul(g, h, args.max_class))}
     elif args.subcommand == "pow":
         g = _parse_group_element(args.args[0], algebra)
         exponent = Fraction(args.args[1])
@@ -135,7 +135,7 @@ def _cmd_malcev(args) -> int:
     elif args.subcommand == "comm":
         g = _parse_group_element(args.args[0], algebra)
         h = _parse_group_element(args.args[1], algebra)
-        rep = group_commutator(g, h)
+        rep = group_commutator(g, h, args.max_class)
         result = {
             "operation": "comm",
             "result": fmt_coords(rep.commutator),
@@ -147,7 +147,7 @@ def _cmd_malcev(args) -> int:
     else:  # decompose
         from .lie import group_decompose
 
-        deco = group_decompose(algebra, args.seed)
+        deco = group_decompose(algebra, args.seed, args.max_class)
         result = {
             "operation": "decompose",
             "factors": [

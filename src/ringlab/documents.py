@@ -214,15 +214,27 @@ class InputDocument:
     codomain_basis: tuple | None
     unit: tuple | None
     source: dict = field(repr=False, default_factory=dict)
+    # the structure each builder made, so one document is certified once
+    _built: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def _once(self, name, build):
+        if name not in self._built:
+            self._built[name] = build()
+        return self._built[name]
 
     def bilinear_map(self) -> BilinearMap:
         codomain = self.codomain if self.codomain is not None else self.carrier
-        return BilinearMap(self.carrier, codomain, self.tensor)
+        return self._once(
+            "bilinear", lambda: BilinearMap(self.carrier, codomain, self.tensor)
+        )
 
     def ring(self) -> RingPresentation:
-        return RingPresentation(self.carrier, self.tensor)
+        return self._once("ring", lambda: RingPresentation(self.carrier, self.tensor))
 
     def commutative_algebra(self) -> CommutativeAlgebra:
+        return self._once("commutative-algebra", self._commutative_algebra)
+
+    def _commutative_algebra(self) -> CommutativeAlgebra:
         if self.carrier.kind != "field":
             raise ValidationError("commutative-algebra documents need a field domain")
         if self.unit is not None:

@@ -61,7 +61,7 @@ def verify_nilpotent_lie(r: RingPresentation) -> NilpotentLieAlgebra:
             "Mal'cev correspondence needs a characteristic-zero field carrier"
         )
     if not r.lie:
-        witness = _lie_witness(r)
+        witness = r.lie_witness()
         raise NotLie(f"antisymmetry/Jacobi fails at basis triple {witness}", witness)
     if r.dim == 0:
         return NilpotentLieAlgebra(r, 0, ())
@@ -87,32 +87,6 @@ def verify_nilpotent_lie(r: RingPresentation) -> NilpotentLieAlgebra:
         series.append(tuple(nxt))
         current = nxt
     return NilpotentLieAlgebra(r, len(series), tuple(series))
-
-
-def _lie_witness(r: RingPresentation):
-    d = r.carrier.domain
-    basis = [
-        tuple(d.one() if k == i else d.zero() for k in range(r.dim))
-        for i in range(r.dim)
-    ]
-    for i, x in enumerate(basis):
-        if not r.carrier.is_zero(r.mult(x, x)):
-            return (i, i)
-        for j, y in enumerate(basis):
-            if not r.carrier.is_zero(
-                r.carrier.add(r.mult(x, y), r.mult(y, x))
-            ):
-                return (i, j)
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            for k, z in enumerate(basis):
-                jac = r.carrier.add(
-                    r.mult(x, r.mult(y, z)),
-                    r.carrier.add(r.mult(y, r.mult(z, x)), r.mult(z, r.mult(x, y))),
-                )
-                if not r.carrier.is_zero(jac):
-                    return (i, j, k)
-    return None
 
 
 # -- Dynkin's formula ----------------------------------------------------------

@@ -13,8 +13,10 @@ scalar matrices that commute with multiplication by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+from . import gfenum
 from .artinian import (
     JSeriesReport,
     LocalFactor,
@@ -80,12 +82,13 @@ class RingPresentation:
     def __post_init__(self):
         bil = BilinearMap(self.carrier, self.carrier, self.tensor)
         object.__setattr__(self, "tensor", bil.tensor)
+        object.__setattr__(self, "_bilinear", bil)
         object.__setattr__(self, "associative", self._check_associative())
         object.__setattr__(self, "commutative", self._check_commutative())
-        object.__setattr__(self, "lie", self._check_lie())
+        object.__setattr__(self, "lie", self.lie_witness() is None)
 
     def as_bilinear(self) -> BilinearMap:
-        return BilinearMap(self.carrier, self.carrier, self.tensor)
+        return self._bilinear
 
     @property
     def dim(self) -> int:
@@ -103,7 +106,7 @@ class RingPresentation:
         return out
 
     def mult(self, x, y):
-        return self.as_bilinear().evaluate(x, y)
+        return self._bilinear.evaluate(x, y)
 
     def _check_commutative(self) -> bool:
         for i in range(self.dim):
@@ -114,7 +117,7 @@ class RingPresentation:
 
     def _check_associative(self) -> bool:
         basis = self._basis()
-        f = self.as_bilinear()
+        f = self._bilinear
         for x in basis:
             for y in basis:
                 xy = f.evaluate(x, y)
@@ -125,29 +128,32 @@ class RingPresentation:
                         return False
         return True
 
-    def _check_lie(self) -> bool:
+    def lie_witness(self):
+        """The first basis pair (i, j) with b_i b_i != 0 or b_i b_j != -b_j b_i,
+        else the first basis triple (i, j, k) that breaks Jacobi; None for a
+        Lie ring."""
         basis = self._basis()
-        f = self.as_bilinear()
+        f = self._bilinear
+        c = self.carrier
         for i, x in enumerate(basis):
-            if not self.carrier.is_zero(f.evaluate(x, x)):
-                return False
+            if not c.is_zero(f.evaluate(x, x)):
+                return (i, i)
             for j, y in enumerate(basis):
-                anti = self.carrier.add(f.evaluate(x, y), f.evaluate(y, x))
-                if not self.carrier.is_zero(anti):
-                    return False
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    jac = self.carrier.add(
+                if not c.is_zero(c.add(f.evaluate(x, y), f.evaluate(y, x))):
+                    return (i, j)
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                for k, z in enumerate(basis):
+                    jac = c.add(
                         f.evaluate(x, f.evaluate(y, z)),
-                        self.carrier.add(
+                        c.add(
                             f.evaluate(y, f.evaluate(z, x)),
                             f.evaluate(z, f.evaluate(x, y)),
                         ),
                     )
-                    if not self.carrier.is_zero(jac):
-                        return False
-        return True
+                    if not c.is_zero(jac):
+                        return (i, j, k)
+        return None
 
 
 def ring_on_rows(parent: RingPresentation, rows) -> RingPresentation:
@@ -413,16 +419,7 @@ def verbal_ideal(r: RingPresentation, term: Word | str) -> VerbalIdealReport:
                 "non-multilinear words need exhaustive enumeration; "
                 "available over small prime fields only"
             )
-        p = r.carrier.domain.p
-        if p ** (r.dim * len(variables)) > _VERBAL_ENUM_CAP:
-            raise EnumerationTooLarge("too many tuples for verbal evaluation")
-        import itertools
-
-        for combo in itertools.product(
-            itertools.product(range(p), repeat=r.dim), repeat=len(variables)
-        ):
-            assignment = {v: tuple(c) for v, c in zip(variables, combo)}
-            values.append(term.evaluate(f, assignment))
+        values = _word_values(r, term, "verbal evaluation")
     gens = _span_canonical(r.carrier, values)
     # ideal closure
     while True:
@@ -454,37 +451,22 @@ def _verbal_width(r: RingPresentation, term: Word, gens) -> WidthReport:
     return WidthReport(bound if exact else None, bound, exact, ())
 
 
-def _verbal_width_bfs(r: RingPresentation, term: Word, gens) -> WidthReport:
-    import itertools
-
-    import numpy as np
-
-    from . import gfenum
-
+def _word_values(r: RingPresentation, term: Word, what: str) -> list:
+    """The word's values on every tuple of elements of a small prime-field ring."""
     p = r.carrier.domain.p
-    f = r.as_bilinear()
     variables = term.variables()
     if p ** (r.dim * len(variables)) > _VERBAL_ENUM_CAP:
-        raise EnumerationTooLarge("too many tuples for verbal width enumeration")
-    values = set()
-    for combo in itertools.product(
-        itertools.product(range(p), repeat=r.dim), repeat=len(variables)
-    ):
-        assignment = {v: tuple(c) for v, c in zip(variables, combo)}
-        values.add(tuple(int(c) % p for c in term.evaluate(f, assignment)))
-    value_rows = np.array(sorted(values), dtype=np.int16)
-    target = gfenum.span_rows(
-        np.array([[int(c) % p for c in g] for g in gens], dtype=np.int16), p
-    )
-    reach = value_rows
-    k = 1
-    while not gfenum.same_row_set(
-        gfenum.unique_rows(np.concatenate([reach, target]), p), reach, p
-    ):
-        k += 1
-        if k > 2 * len(gens) + 4:
-            raise EnumerationTooLarge("verbal width search failed to close")
-        reach = gfenum.sumset(reach, value_rows, p)
+        raise EnumerationTooLarge(f"too many tuples for {what}")
+    f = r.as_bilinear()
+    tuples = itertools.product(itertools.product(range(p), repeat=r.dim), repeat=len(variables))
+    return [term.evaluate(f, dict(zip(variables, combo))) for combo in tuples]
+
+
+def _verbal_width_bfs(r: RingPresentation, term: Word, gens) -> WidthReport:
+    values = sorted(set(_word_values(r, term, "verbal width enumeration")))
+    k = gfenum.closure_width(values, gens, r.carrier.domain.p, 2 * len(gens) + 4)
+    if k is None:
+        raise EnumerationTooLarge("verbal width search failed to close")
     return WidthReport(k, k, True, ())
 
 

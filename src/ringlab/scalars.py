@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gfenum
 from .artinian import CommutativeAlgebra, LocalFactor, local_decomposition
 from .bilinear import (
@@ -314,45 +312,24 @@ def _certify_bilinearity(f: BilinearMap, report: ScalarRingReport) -> bool:
 # -- enumerated Z_n diagnostic ---------------------------------------------------
 
 
-def _simple_tensor_rows(f: BilinearMap) -> np.ndarray:
-    p = f.m.domain.p
+def _simple_tensor_rows(f: BilinearMap):
+    """All simple tensors x (x) y: the values of the universal map M x M -> M (x) M."""
     n = f.m.dim
-    xs = gfenum.all_vectors(p, n).astype(np.int64)
-    outer = np.einsum("ai,bj->abij", xs, xs).reshape(-1, n * n) % p
-    return gfenum.unique_rows(outer.astype(np.int16), p)
-
-
-def _relation_span_from_sums(f: BilinearMap, sums: np.ndarray):
-    """Differences of equal-f-sum tensors, as a canonical GF(p) span."""
-    p = f.m.domain.p
-    n = f.m.dim
-    tmat = np.array(
-        [
-            [int(f.tensor[i][j][t]) % p for i in range(n) for j in range(n)]
-            for t in range(f.n.dim)
-        ],
-        dtype=np.int64,
+    universal = tuple(
+        tuple(tuple(int(t == i * n + j) for t in range(n * n)) for j in range(n))
+        for i in range(n)
     )
-    if f.n.dim:
-        values = (sums.astype(np.int64) @ tmat.T) % p
-        keys = gfenum.pack_rows(values.astype(np.int16), p)
-    else:
-        keys = np.zeros(len(sums), dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    sorted_sums = sums[order]
-    sorted_keys = keys[order]
-    gens = []
-    start = 0
-    while start < len(sorted_keys):
-        end = start
-        while end < len(sorted_keys) and sorted_keys[end] == sorted_keys[start]:
-            end += 1
-        base_row = sorted_sums[start]
-        for r in range(start + 1, end):
-            gens.append(tuple(int(x) % p for x in (sorted_sums[r] - base_row) % p))
-        start = end
-    d = f.m.domain
-    return canonical_span_rows(d, gens, f.m.dim * f.m.dim)
+    return gfenum.products(universal, f.m.domain.p)
+
+
+def _relation_span_from_sums(f: BilinearMap, sums):
+    """Differences of equal-f-sum tensors, as a canonical GF(p) span."""
+    n = f.m.dim
+    tmat = [
+        [f.tensor[i][j][t] for i in range(n) for j in range(n)] for t in range(f.n.dim)
+    ]
+    gens = gfenum.equal_image_differences(sums, tmat, f.m.domain.p)
+    return canonical_span_rows(f.m.domain, gens, n * n)
 
 
 def z_n_diagnostic(f: BilinearMap, n: int) -> EndoAlgebra:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -290,3 +291,36 @@ def test_width_search_bound():
     if exact.width > 1:
         with pytest.raises(SearchBoundExceeded):
             width(fsum, search_bound=exact.width - 1)
+
+
+def outer_product_gf3(a, b):
+    """F^a + F^b -> F^(ab), (x, y).(x', y') = x (x) y', over GF(3)."""
+    entries = {
+        (i, a + j): tuple(int(t == i * b + j) for t in range(a * b))
+        for i in range(a)
+        for j in range(b)
+    }
+    return gfmap(3, a + b, a * b, entries)
+
+
+def test_width_outer_products_gf3():
+    # a matrix of rank r is a sum of r rank-one products and no fewer
+    assert width(outer_product_gf3(2, 3)).width == 2
+    outer3x3 = outer_product_gf3(3, 3)
+    tracemalloc.start()
+    try:
+        report = width(outer3x3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.exact and report.width == 3
+    # numpy reports its buffers to tracemalloc; the 3-fold sumset is
+    # enumerated in deduplicated chunks, not as 2.86 M rows at once
+    assert peak < 100 * 2**20
+
+
+def test_width_search_bound_below_width():
+    from ringlab.errors import SearchBoundExceeded
+
+    with pytest.raises(SearchBoundExceeded):
+        width(outer_product_gf3(3, 3), search_bound=2)

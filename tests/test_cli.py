@@ -116,6 +116,58 @@ def test_malcev_comm():
     assert "result: (0, 0, 1)" in out
 
 
+def filiform_document(dim):
+    """[e1, e_i] = e_{i+1} for i = 2..dim-1 over Q: nilpotency class dim - 1."""
+    zero = ["0"] * dim
+
+    def basis(k, sign):
+        return [sign if t == k else "0" for t in range(dim)]
+
+    table = [[zero for _ in range(dim)] for _ in range(dim)]
+    for i in range(1, dim - 1):
+        table[0][i] = basis(i + 1, "1")
+        table[i][0] = basis(i + 1, "-1")
+    names = [f"e{k + 1}" for k in range(dim)]
+    return {"kind": "lie", "domain": "Q", "basis": names, "table": table}
+
+
+def test_malcev_max_class_reaches_bch(tmp_path):
+    from fractions import Fraction
+
+    from ringlab.documents import load_document
+    from ringlab.lie import bch, verify_nilpotent_lie
+
+    text = json.dumps(filiform_document(8))
+    path = tmp_path / "L8.json"
+    path.write_text(text)
+    x, y = "1,0,1/2,0,0,0,0,-3", "0,1,0,2,0,0,1/3,0"
+    code, out, err = run_cli(
+        "malcev", "mul", str(path), x, y, "--max-class", "8", "--format", "json"
+    )
+    assert code == 0, err
+    algebra = verify_nilpotent_lie(load_document(text).ring())
+    assert algebra.nilpotency_class == 7
+    coords = lambda text: tuple(Fraction(c) for c in text.split(","))
+    expected = bch(algebra, coords(x), coords(y), 8)
+    assert json.loads(out)["result"] == "(" + ", ".join(str(c) for c in expected) + ")"
+
+
+def test_malcev_builds_the_document_ring_once(monkeypatch):
+    from ringlab.rings import RingPresentation
+
+    built = []
+    post_init = RingPresentation.__post_init__
+
+    def counting(self):
+        built.append(self.tensor)
+        post_init(self)
+
+    monkeypatch.setattr(RingPresentation, "__post_init__", counting)
+    code, out, _ = run_cli("malcev", "mul", fixture_path("h3"), "(1,0,0)", "(0,1,0)")
+    assert code == 0 and "result: (1, 1, 1/2)" in out
+    assert len(built) == 1
+
+
 def test_malcev_decompose():
     code, out, _ = run_cli("malcev", "decompose", fixture_path("h3-plus-abelian"))
     assert code == 0

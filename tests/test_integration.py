@@ -241,22 +241,25 @@ def test_bilinear_document_with_codomain():
     assert tree["largest_scalar_ring"]["dim"] == 1
 
 
+def _child_pythonpath():
+    """PYTHONPATH under which a child interpreter imports the same ringlab
+    as this test run, whether it is installed or imported from the checkout."""
+    import os
+
+    import ringlab
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ringlab.__file__)))
+    return os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+
+
 def test_determinism_across_hash_seeds():
     import json
-    import os
     import subprocess
     import sys
     from importlib import resources
 
-    import ringlab
-
     path = str(resources.files("ringlab.fixtures").joinpath("h3-plus-abelian.json"))
-    # the children must import the same ringlab as this test run, whether it
-    # is installed or imported from the checkout through PYTHONPATH
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ringlab.__file__)))
-    pythonpath = os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-    )
+    pythonpath = _child_pythonpath()
     outputs = []
     for seed in ("0", "1", "424242"):
         env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
@@ -271,6 +274,24 @@ def test_determinism_across_hash_seeds():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
 
+
+def test_cli_and_analyze_leave_numpy_unloaded():
+    # numpy is imported only by the GF(p) enumerations in ringlab.gfenum
+    import subprocess
+    import sys
+    from importlib import resources
+
+    path = str(resources.files("ringlab.fixtures").joinpath("h3.json"))
+    script = (
+        "import sys\n"
+        "import ringlab.cli\n"
+        "assert 'numpy' not in sys.modules, 'import ringlab.cli loaded numpy'\n"
+        f"assert ringlab.cli.main(['analyze', {path!r}, '--format', 'json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'analyze loaded numpy'\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": _child_pythonpath()}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
 
 def filiform(dim):
     """(e1, e_i) = e_{i+1}, i = 2..dim-1: nilpotency class dim - 1."""

@@ -86,8 +86,9 @@ def test_verify_rejects_non_nilpotent():
 
 def test_verify_rejects_non_lie():
     r = qring(2, {(0, 0): (0, 1)})  # (x,x) != 0
-    with pytest.raises(NotLie):
+    with pytest.raises(NotLie) as excinfo:
         verify_nilpotent_lie(r)
+    assert excinfo.value.witness == (0, 0)
 
 
 def test_verify_class3():
