@@ -112,6 +112,9 @@ class Rationals(Domain):
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
+    def is_zero(self, a) -> bool:
+        return a == 0
+
     def parse(self, obj):
         if isinstance(obj, bool) or isinstance(obj, float):
             raise ValidationError(f"rational literals must be exact, got {obj!r}")

@@ -27,11 +27,16 @@ def all_vectors(p: int, dim: int):
 
 
 def pack_rows(rows, p: int):
-    """Base-p integer keys; canonical (sorted) unique representation."""
+    """Base-p integer keys; canonical (sorted) unique representation.
+    Raises EnumerationTooLarge when a key could pass the int64 range."""
     import numpy as np
 
     if rows.shape[1] == 0:
         return np.zeros(len(rows), dtype=np.int64)
+    if p ** rows.shape[1] > 1 << 63:
+        raise EnumerationTooLarge(
+            f"{rows.shape[1]} coordinates mod {p} do not fit 64-bit row keys"
+        )
     weights = (p ** np.arange(rows.shape[1] - 1, -1, -1)).astype(np.int64)
     return rows.astype(np.int64) @ weights
 

@@ -5,17 +5,19 @@ exponents, the central-series and center correspondence, and the
 group-level decomposition pipeline.
 
 BCH is evaluated directly in the target algebra by Dynkin's summation
-over compositions, using nested ad-operators; no free-Lie rewriting is
-involved.  A table of coefficients on Hall words (classes <= 4) is
-computed once from a truncated free associative algebra and kept as a
-cross-check.
+over compositions; no free-Lie rewriting is involved.  The words sit in a
+suffix trie, so each distinct suffix costs one application of ad_x or
+ad_y (sparse rows read off the structure tensor) and a zero suffix prunes
+every word through it.  A table of coefficients on Hall words (classes
+<= 4) is computed once from a truncated free associative algebra and
+kept as a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 from .bilinear import canonical_span_rows, coords_in_rows
@@ -137,13 +139,43 @@ def _dynkin_terms(c: int):
     return tuple(merged)
 
 
-def _ad_matrix(l: NilpotentLieAlgebra, x) -> Matrix:
-    d = l.domain
-    cols = []
-    for j in range(l.dim):
-        basis_j = tuple(d.one() if k == j else d.zero() for k in range(l.dim))
-        cols.append(l.bracket(x, basis_j))
-    return Matrix.from_cols(d, cols)
+@lru_cache(maxsize=None)
+def _dynkin_trie(c: int, d):
+    """``_dynkin_terms(c)`` as a trie read from the innermost letter, so
+    words sharing a suffix share its evaluation: ((letter, (scalar,
+    children)), ...), scalar being the coefficient in d of the word spelt
+    from the root down to that node, or None when no word ends there."""
+    root = {}
+    for coeff, word in _dynkin_terms(c):
+        children = root
+        for letter in reversed(word):
+            node = children.setdefault(letter, [None, {}])
+            children = node[1]
+        node[0] = d.div(d.from_int(coeff.numerator), d.from_int(coeff.denominator))
+
+    def freeze(children):
+        return tuple(
+            (letter, (s, freeze(grand))) for letter, (s, grand) in children.items()
+        )
+
+    return freeze(root)
+
+
+def _ad_rows(tensor, d, x):
+    """ad_x read off the structure tensor as sparse rows: row t lists the
+    pairs (j, [x, e_j]_t) whose entry is nonzero."""
+    n = len(x)
+    cols = [[d.zero()] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        if not d.is_zero(xi):
+            for j, entry in enumerate(tensor[i]):
+                for t, e in enumerate(entry):
+                    if not d.is_zero(e):
+                        cols[j][t] = d.add(cols[j][t], d.mul(xi, e))
+    return [
+        [(j, col[t]) for j, col in enumerate(cols) if not d.is_zero(col[t])]
+        for t in range(n)
+    ]
 
 
 def bch(l: NilpotentLieAlgebra, x, y, max_class: int | None = None):
@@ -157,24 +189,24 @@ def bch(l: NilpotentLieAlgebra, x, y, max_class: int | None = None):
     if c > cap:
         raise ClassTooLarge(f"class {c} exceeds the BCH cap {cap}")
     d = l.domain
-    x = l.ring.carrier.reduce(x)
-    y = l.ring.carrier.reduce(y)
-    ads = (_ad_matrix(l, x), _ad_matrix(l, y))
-    args = (x, y)
-    acc = [d.zero()] * l.dim
-    for coeff, word in _dynkin_terms(c):
-        value = args[word[-1]]
-        for letter in reversed(word[:-1]):
-            value = ads[letter].apply(value)
-            if all(d.is_zero(v) for v in value):
-                break
-        if all(d.is_zero(v) for v in value):
-            continue
-        scalar = d.mul(
-            d.from_int(coeff.numerator), d.inv(d.from_int(coeff.denominator))
-        )
-        for t in range(l.dim):
-            acc[t] = d.add(acc[t], d.mul(scalar, value[t]))
+    args = (l.ring.carrier.reduce(x), l.ring.carrier.reduce(y))
+    ads = [_ad_rows(l.ring.as_bilinear().tensor, d, a) for a in args]
+    zero = d.zero()
+    acc = [zero] * l.dim
+    stack = [(node, args[letter]) for letter, node in _dynkin_trie(c, d)]
+    while stack:
+        (scalar, children), value = stack.pop()
+        live = {j: v for j, v in enumerate(value) if not d.is_zero(v)}
+        if not live:
+            continue  # every word through a zero suffix vanishes
+        if scalar is not None:
+            acc = [d.add(a, d.mul(scalar, v)) for a, v in zip(acc, value)]
+        for letter, child in children:
+            image = [
+                reduce(d.add, (d.mul(e, live[j]) for j, e in row if j in live), zero)
+                for row in ads[letter]
+            ]
+            stack.append((child, image))
     return tuple(acc)
 
 

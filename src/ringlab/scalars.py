@@ -162,13 +162,10 @@ def z_center(f: BilinearMap, sym: EndoAlgebra | None = None) -> EndoAlgebra:
         return sym
     rows = []
     for b in sym.basis:
+        comms = [a.mul(b).sub(b.mul(a)) for a in sym.basis]
         for r in range(sym.dim):
             for c in range(sym.dim):
-                row = []
-                for a in sym.basis:
-                    comm = a.mul(b).sub(b.mul(a))
-                    row.append(comm.get(r, c))
-                rows.append(tuple(row))
+                rows.append(tuple(comm.get(r, c) for comm in comms))
     kern = kernel_basis(Matrix.from_rows(d, rows))
     vectors = []
     for j in range(kern.cols):
@@ -355,6 +352,9 @@ def z_n_chain(f: BilinearMap, max_n: int):
             f"|M| = {p}^{f.m.dim} exceeds the diagnostic cap {_ZN_ENUM_CAP}"
         )
     z = z_center(f)
+    if not z.basis:
+        # every stabilizer inside the zero algebra is itself (dim M = 0)
+        return [z] * min(2, max_n), (1 if max_n >= 2 else None)
     simple = _simple_tensor_rows(f)
     sums = simple
     chain = []

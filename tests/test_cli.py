@@ -152,6 +152,19 @@ def test_malcev_max_class_reaches_bch(tmp_path):
     assert json.loads(out)["result"] == "(" + ", ".join(str(c) for c in expected) + ")"
 
 
+def test_analyze_class7_filiform_with_max_class_8(tmp_path):
+    path = tmp_path / "L8.json"
+    path.write_text(json.dumps(filiform_document(8)))
+    code, out, err = run_cli("analyze", str(path), "--max-class", "8", "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["correspondence"] == {
+        "center_certified": True,
+        "series_group_closed": True,
+        "series_commutator_drop": True,
+    }
+
+
 def test_malcev_builds_the_document_ring_once(monkeypatch):
     from ringlab.rings import RingPresentation
 

@@ -4,8 +4,10 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from ringlab import gfenum
+from ringlab.errors import EnumerationTooLarge
 
 
 def random_rows(rng, p, count, width):
@@ -61,3 +63,11 @@ def test_equal_image_differences_matches_a_grouping_loop():
         expected += [tuple((u - v) % p for u, v in zip(r, base)) for r in groups[image][1:]]
     row_set = np.array(rows, dtype=np.int16)
     assert gfenum.equal_image_differences(row_set, matrix, p) == expected
+
+
+def test_pack_rows_refuses_keys_past_int64():
+    # 7^22 < 2^63 < 7^23: 22 columns still pack exactly, 23 would wrap
+    top = np.full((1, 22), 6, dtype=np.int16)
+    assert int(gfenum.pack_rows(top, 7)[0]) == 7**22 - 1
+    with pytest.raises(EnumerationTooLarge):
+        gfenum.pack_rows(np.zeros((1, 23), dtype=np.int16), 7)

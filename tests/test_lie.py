@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ringlab.bilinear import field_carrier
-from ringlab.domains import QQ
+from ringlab.domains import Extension, QQ
 from ringlab.errors import AlgebraMismatch, NotLie, NotNilpotent
 from ringlab.lie import (
     GroupElement,
+    _dynkin_terms,
+    _dynkin_trie,
     bch,
     bch_hall_table,
     bch_via_hall_table,
@@ -24,15 +26,15 @@ from ringlab.lie import (
 from ringlab.rings import RingPresentation
 
 
-def qring(dim, entries):
+def qring(dim, entries, domain=QQ):
     tensor = [
         [
-            tuple(Fraction(c) for c in entries.get((i, j), (0,) * dim))
+            tuple(domain.from_int(c) for c in entries.get((i, j), (0,) * dim))
             for j in range(dim)
         ]
         for i in range(dim)
     ]
-    return RingPresentation(field_carrier(QQ, dim), tuple(tensor))
+    return RingPresentation(field_carrier(domain, dim), tuple(tensor))
 
 
 def h3():
@@ -52,6 +54,27 @@ def free_nilpotent_c3():
         (2, 1): (0, 0, 0, 0, -1),
     }
     return verify_nilpotent_lie(qring(5, entries))
+
+
+def filiform(dim, domain=QQ):
+    """[e1, e_i] = e_{i+1} for i = 2..dim-1: nilpotency class dim - 1."""
+    entries = {}
+    for i in range(1, dim - 1):
+        unit = tuple(int(t == i + 1) for t in range(dim))
+        entries[(0, i)] = unit
+        entries[(i, 0)] = tuple(-u for u in unit)
+    return verify_nilpotent_lie(qring(dim, entries, domain))
+
+
+def heisenberg_sum(k):
+    """k blocks [x_b, y_b] = z_b plus one abelian line."""
+    dim = 3 * k + 1
+    entries = {}
+    for b in range(k):
+        unit = tuple(int(t == 3 * b + 2) for t in range(dim))
+        entries[(3 * b, 3 * b + 1)] = unit
+        entries[(3 * b + 1, 3 * b)] = tuple(-u for u in unit)
+    return verify_nilpotent_lie(qring(dim, entries))
 
 
 def rand_frac(rng, span=9, den=5):
@@ -166,6 +189,67 @@ def test_hall_table_path_agrees_with_dynkin():
             u = rand_elem(rng, l.dim)
             v = rand_elem(rng, l.dim)
             assert bch(l, u, v) == bch_via_hall_table(l, u, v)
+
+
+def dynkin_word_by_word(l, x, y):
+    """Reference: each Dynkin word evaluated on its own by nested brackets."""
+    d = l.domain
+    acc = [d.zero()] * l.dim
+    for coeff, word in _dynkin_terms(l.nilpotency_class):
+        value = (x, y)[word[-1]]
+        for letter in reversed(word[:-1]):
+            value = l.bracket((x, y)[letter], value)
+        scalar = d.div(d.from_int(coeff.numerator), d.from_int(coeff.denominator))
+        acc = [d.add(a, d.mul(scalar, v)) for a, v in zip(acc, value)]
+    return tuple(acc)
+
+
+def trie_words(children, suffix=()):
+    for letter, (scalar, grandchildren) in children:
+        word = (letter,) + suffix
+        if scalar is not None:
+            yield word, scalar
+        yield from trie_words(grandchildren, word)
+
+
+@pytest.mark.parametrize("c", range(1, 9))
+def test_dynkin_trie_holds_each_word_once(c):
+    words = sorted(trie_words(_dynkin_trie(c, QQ)))
+    assert words == sorted((word, coeff) for coeff, word in _dynkin_terms(c))
+
+
+@pytest.mark.parametrize("dim", range(5, 9))
+def test_bch_matches_word_by_word_on_filiform(dim):
+    l = filiform(dim)
+    assert l.nilpotency_class == dim - 1
+    rng = random.Random(dim)
+    basis = [tuple(int(t == i) for t in range(dim)) for i in range(dim)]
+    pairs = [(rand_elem(rng, dim), rand_elem(rng, dim)) for _ in range(3)]
+    pairs += [(basis[0], basis[1]), (basis[1], basis[0]), (basis[0], rand_elem(rng, dim))]
+    for u, v in pairs:
+        assert bch(l, u, v, 8) == dynkin_word_by_word(l, u, v)
+
+
+def test_bch_matches_word_by_word_on_h3_squared_plus_q():
+    l = heisenberg_sum(2)
+    rng = random.Random(12)
+    for _ in range(20):
+        u, v = rand_elem(rng, l.dim), rand_elem(rng, l.dim)
+        assert bch(l, u, v) == dynkin_word_by_word(l, u, v)
+
+
+def test_bch_over_an_extension_carrier():
+    qsqrt2 = Extension(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    l = filiform(5, qsqrt2)
+    rng = random.Random(4)
+
+    def rand_ext():
+        # a + b*sqrt(2) as the coefficient pair (a, b)
+        return tuple((rand_frac(rng), rand_frac(rng)) for _ in range(l.dim))
+
+    for _ in range(5):
+        u, v = rand_ext(), rand_ext()
+        assert bch(l, u, v) == dynkin_word_by_word(l, u, v)
 
 
 # -- group axioms ------------------------------------------------------------------

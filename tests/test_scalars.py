@@ -164,6 +164,16 @@ def test_zn_injective_fbar_keeps_z():
     assert chain[0].equal(z)
 
 
+def test_zn_chain_of_a_zero_dimensional_map_is_trivial():
+    gf3 = PrimeField(3)
+    f = BilinearMap(field_carrier(gf3, 0), field_carrier(gf3, 1), ())
+    z = z_center(f)
+    assert not z.basis
+    assert z_n_chain(f, 1) == ([z], None)
+    assert z_n_chain(f, 3) == ([z, z], 1)
+    assert z_n_diagnostic(f, 3) == z
+
+
 def test_decompose_alternating_sum():
     deco = decompose_via_scalars(ALT_SUM)
     assert len(deco.components) == 2
