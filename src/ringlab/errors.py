@@ -105,6 +105,10 @@ class ValidationError(RinglabError):
         self.col = col
 
 
+class InvariantViolation(RinglabError):
+    """An internal certificate or invariant check failed; the message names it."""
+
+
 class PipelineError(RinglabError):
     """An analysis stage failed; names the stage and keeps the cause."""
 

@@ -60,6 +60,7 @@ from .modules import (
 from .scalars import (
     EndoAlgebra,
     ScalarActionReport,
+    centroid_of,
     endo_commutative_algebra,
     largest_scalar_action,
 )
@@ -572,40 +573,15 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
 
 
 def centroid(r: RingPresentation) -> EndoAlgebra:
-    """{X in End(R) : X(xy) = (Xx)y = x(Xy)}; the scalars of R itself."""
+    """{X in End(R) : X(xy) = (Xx)y = x(Xy)}; the scalars of R itself.
+
+    With f the multiplication and eta the identity, these are the A of
+    centroid_of(f, eta): the A with A = C on R^2.
+    """
     if r.carrier.kind != FIELD:
         raise UnsupportedDomain("centroid is computed over field carriers")
-    d = r.carrier.domain
-    n = r.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            c = r.tensor[i][j]
-            for t in range(n):
-                # X(c) - (X b_i) b_j = 0
-                row = [d.zero()] * (n * n)
-                for s in range(n):
-                    row[t * n + s] = d.add(row[t * n + s], c[s])
-                for l in range(n):
-                    row[l * n + i] = d.sub(row[l * n + i], r.tensor[l][j][t])
-                rows.append(tuple(row))
-                # X(c) - b_i (X b_j) = 0
-                row = [d.zero()] * (n * n)
-                for s in range(n):
-                    row[t * n + s] = d.add(row[t * n + s], c[s])
-                for l in range(n):
-                    row[l * n + j] = d.sub(row[l * n + j], r.tensor[i][l][t])
-                rows.append(tuple(row))
-    if not rows:
-        vectors = []
-        for a in range(n):
-            for b in range(n):
-                e = [d.zero()] * (n * n)
-                e[a * n + b] = d.one()
-                vectors.append(tuple(e))
-        return EndoAlgebra.from_vectors(d, n, vectors)
-    kern = kernel_basis(Matrix.from_rows(d, rows))
-    return EndoAlgebra.from_vectors(d, n, [kern.col(j) for j in range(kern.cols)])
+    identity = Matrix.identity(r.carrier.domain, r.dim)
+    return centroid_of(r.as_bilinear(), identity).algebra
 
 
 @dataclass(frozen=True)

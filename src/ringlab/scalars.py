@@ -4,17 +4,18 @@ P(f) with its induced action on the image, the enumerated Z_n chain used
 as a brute-force oracle, scalar-driven decomposition, and the A(R)
 computation for ring multiplication maps.
 
-P(f) is computed as the stabilizer of ker(f-bar) inside Z(f): in finite
-dimension every relation among products is a finite sum of simple
-tensors, so preserving all length-n relations for every n is one linear
-condition on the kernel of the structure matrix.  The Z_n chain is kept
-as an independent diagnostic that enumerates achievable sums over small
-prime fields and must agree once it stabilizes.
+P(f), A(R) and the ring centroid come from one linear system,
+centroid_of: the A in End(M) with f(Ax, y) = f(x, Ay) = C f(x, y) for a
+linear C on im(f), optionally with A eta = eta C.  For nondegenerate f
+this centroid is the stabilizer of ker(f-bar) inside Z(f), because
+f(ABx, y) = f(BAx, y) for every B in Sym_f.  Sym_f, Z(f), that
+stabilizer and the Z_n chain, which enumerates achievable sums over
+small prime fields, are kept as independent oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import gfenum
 from .artinian import CommutativeAlgebra, LocalFactor, local_decomposition
@@ -36,11 +37,12 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     EnumerationTooLarge,
+    InvariantViolation,
     NonFieldDomain,
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, inverse, kernel_basis, solve
+from .linalg import Matrix, inverse, kernel_basis, rref
 
 _ZN_ENUM_CAP = 81  # |M| cap for the enumerated diagnostic
 
@@ -208,67 +210,109 @@ def _stabilizer_inside(f: BilinearMap, z: EndoAlgebra, kernel_vectors) -> EndoAl
 
 @dataclass(frozen=True)
 class ScalarRingReport:
-    """P(f) with its image action and the relation kernel used to cut it."""
+    """A ring of scalars of f with its action on the image of f."""
 
     algebra: EndoAlgebra
     image_rows: tuple              # echelon basis of im(f) in N coordinates
     action_on_image: tuple         # one Matrix per algebra basis element
-    relation_kernel: tuple         # flattened tensors spanning ker(f-bar)
     bilinear_certified: bool
+
+
+def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
+    """The A in End(M) with f(Ax, y) = f(x, Ay) = C f(x, y) for a linear C
+    on im(f), and, when eta (dim M x dim N) is given, A eta = eta C on im(f).
+
+    The unknowns are the n^2 entries of A.  The rref of tensor_matrix(f)
+    picks the first basis pairs p_k whose values span im(f) and writes
+    every pair's value in the basis f(p_k); C is fixed by C f(p_k) =
+    f(A p_k), so every condition is linear in A.  Each C is returned in
+    the coordinates of the echelon image rows.
+    """
+    _require_field_map(f, "centroid_of")
+    d = f.m.domain
+    n = f.m.dim
+    zero, minus_one = d.zero(), d.neg(d.one())
+
+    def moved(vals, q, left=True):
+        """For each row v of vals, a vector over basis pairs, the linear
+        form A -> v at (A e_i, e_j), or at (e_i, A e_j), where q = (i, j)."""
+        i, j = divmod(q, n)
+        out = [[zero] * (n * n) for _ in vals]
+        for row, v in zip(out, vals):
+            for l in range(n):
+                u, w = (l * n + i, l * n + j) if left else (l * n + j, i * n + l)
+                row[u] = v[w]
+        return out
+
+    def axpy(xs, c, ys):
+        """xs + c ys, row by row."""
+        return [
+            [x if d.is_zero(y) else d.add(x, d.mul(c, y)) for x, y in zip(a, b)]
+            for a, b in zip(xs, ys)
+        ]
+
+    tmat = tensor_matrix(f)
+    reduced, pairs, r = rref(tmat)
+    coef = reduced.row_list()[:r]  # column q: f(q) in the basis f(p_k)
+    images = [moved(coef, p) for p in pairs]  # C f(p_k) = f(A p_k)
+    rows = []
+    for q in range(n * n):
+        scaled = [[zero] * (n * n) for _ in range(r)]  # C f(q)
+        for row, image in zip(coef, images):
+            if not d.is_zero(row[q]):
+                scaled = axpy(scaled, row[q], image)
+        rows += axpy(scaled, minus_one, moved(coef, q))
+        rows += axpy(scaled, minus_one, moved(coef, q, left=False))
+    if eta is not None:
+        eta_t = eta.mul(tmat).row_list()
+        for p in pairs:
+            # A eta f(p_k) = eta C f(p_k) = eta f(A p_k)
+            v = [eta_t[s][p] for s in range(n)]
+            a_eta = [[zero] * (u * n) + v + [zero] * ((n - 1 - u) * n) for u in range(n)]
+            rows += axpy(a_eta, minus_one, moved(eta_t, p))
+    if not rows:
+        rows = [[zero] * (n * n)]  # no condition: all of End(M)
+    kern = kernel_basis(Matrix.from_rows(d, rows))
+    algebra = EndoAlgebra.from_vectors(d, n, [kern.col(c) for c in range(kern.cols)])
+    # C = [f(A p_k)] B^-1 with B = [f(p_k)], both read at the lead columns
+    # of the echelon image rows, which are the image-row coordinates
+    image_rows = image_submodule(f)
+    lead = [next(t for t, x in enumerate(v) if not d.is_zero(x)) for v in image_rows]
+    b_inv = inverse(tmat.submatrix(lead, pairs))
+    at_lead = [Matrix.from_rows(d, moved([tmat.row(t) for t in lead], p)) for p in pairs]
+    action = tuple(
+        Matrix.from_cols(d, [form.apply(a.entries) for form in at_lead]).mul(b_inv)
+        for a in algebra.basis
+    )
+    return ScalarRingReport(algebra, tuple(image_rows), action, False)
+
+
+def _certified(f: BilinearMap, report: ScalarRingReport, name: str) -> ScalarRingReport:
+    """The report with its closure invariants and bilinearity certified."""
+    p = report.algebra
+    if not p.unital or not p.closed or not p.is_commutative():
+        raise InvariantViolation(f"{name} failed the unital commutative closure invariants")
+    if not _certify_bilinearity(f, report):
+        raise InvariantViolation(f"{name} bilinearity certificate failed")
+    return replace(report, bilinear_certified=True)
 
 
 def p_of_f(f: BilinearMap) -> ScalarRingReport:
     """The largest scalar ring of a nondegenerate bilinear map.
 
-    Computed as the stabilizer of ker(f-bar) inside Z(f); the report
-    carries the induced action on im(f) and certifies that f is bilinear
-    over the result: f(Ax, y) = f(x, Ay) = A f(x, y).
+    P(f) is the centroid of f, solved by centroid_of: the A with
+    f(Ax, y) = f(x, Ay) = C f(x, y).  It equals the stabilizer of
+    ker(f-bar) inside Z(f) because for every B in Sym_f,
+    f(ABx, y) = f(BAx, y), so nondegeneracy puts A in the commutant of
+    Sym_f.  The report carries the action on im(f) and certifies that f
+    is bilinear over the result.
     """
     _require_field_map(f, "p_of_f")
-    kernel_gens = two_sided_kernel(f)
-    if kernel_gens:
+    if two_sided_kernel(f):
         raise DegenerateInput(
             "C(f) is nonzero; split off the foundation before computing P(f)"
         )
-    d = f.m.domain
-    n = f.m.dim
-    z = z_center(f)
-    tmat = tensor_matrix(f)
-    kern = kernel_basis(tmat)
-    kernel_vectors = [kern.col(j) for j in range(kern.cols)]
-    p = _stabilizer_inside(f, z, kernel_vectors)
-    if not p.unital or not p.closed or not p.is_commutative():
-        raise RuntimeError("P(f) failed the unital commutative closure invariants")
-    image_rows = image_submodule(f)
-    action = []
-    for a in p.basis:
-        cols = []
-        for v in image_rows:
-            pre = solve(tmat, v)
-            if pre is None:
-                raise RuntimeError("image element has no tensor preimage")
-            moved = tmat.apply(_tensor_action_vector(a, pre[0], n, d))
-            coords = coords_in_rows(d, image_rows, moved)
-            if coords is None:
-                raise RuntimeError("scalar action left the image")
-            cols.append(coords)
-        action.append(Matrix.from_cols(d, cols) if cols else Matrix(d, 0, 0, ()))
-    report = ScalarRingReport(
-        algebra=p,
-        image_rows=tuple(image_rows),
-        action_on_image=tuple(action),
-        relation_kernel=tuple(kernel_vectors),
-        bilinear_certified=False,
-    )
-    if not _certify_bilinearity(f, report):
-        raise RuntimeError("P(f) bilinearity certificate failed")
-    return ScalarRingReport(
-        report.algebra,
-        report.image_rows,
-        report.action_on_image,
-        report.relation_kernel,
-        True,
-    )
+    return _certified(f, centroid_of(f), "P(f)")
 
 
 def _apply_action_in_n(report: ScalarRingReport, index: int, value, d: Domain, n_dim: int):
@@ -382,12 +426,12 @@ def endo_commutative_algebra(endo: EndoAlgebra) -> CommutativeAlgebra:
         for b in endo.basis:
             coords = endo.coords_of(a.mul(b))
             if coords is None:
-                raise RuntimeError("endomorphism algebra is not closed")
+                raise InvariantViolation("endomorphism algebra is not closed")
             row.append(coords)
         tensor.append(tuple(row))
     unit = endo.coords_of(Matrix.identity(d, endo.dim))
     if unit is None:
-        raise RuntimeError("endomorphism algebra has no identity")
+        raise InvariantViolation("endomorphism algebra has no identity")
     return CommutativeAlgebra(d, endo.rank, tuple(tensor), unit)
 
 
@@ -424,15 +468,13 @@ def decompose_via_scalars(f: BilinearMap, seed: int = 0) -> BilinearDecompositio
     d = f.m.domain
     algebra = scalar_ring_as_algebra(report)
     factors = local_decomposition(algebra, seed)
-    im_mat_t = Matrix.from_rows(d, list(report.image_rows)).transpose()
-    im_mat_t_inv = inverse(im_mat_t)
     components = []
     for lf in factors:
         e_m = report.algebra.combine(lf.idempotent)
-        alpha = Matrix.zero(d, f.n.dim, f.n.dim)
+        # f is full, so the image rows are the standard basis of N
+        e_n = Matrix.zero(d, f.n.dim, f.n.dim)
         for c, act in zip(lf.idempotent, report.action_on_image):
-            alpha = alpha.add(act.scale(c))
-        e_n = im_mat_t.mul(alpha).mul(im_mat_t_inv)
+            e_n = e_n.add(act.scale(c))
         m_rows = canonical_span_rows(d, [e_m.col(j) for j in range(e_m.cols)], f.m.dim)
         n_rows = canonical_span_rows(d, [e_n.col(j) for j in range(e_n.cols)], f.n.dim)
         comp_map = BilinearMap(
@@ -451,9 +493,9 @@ def decompose_via_scalars(f: BilinearMap, seed: int = 0) -> BilinearDecompositio
 def _verify_component_structure(f: BilinearMap, deco: BilinearDecomposition):
     d = f.m.domain
     if sum(len(c.m_rows) for c in deco.components) != f.m.dim:
-        raise RuntimeError("component M blocks do not fill M")
+        raise InvariantViolation("component M blocks do not fill M")
     if sum(len(c.n_rows) for c in deco.components) != f.n.dim:
-        raise RuntimeError("component N blocks do not fill N")
+        raise InvariantViolation("component N blocks do not fill N")
     for i, a in enumerate(deco.components):
         for j, b in enumerate(deco.components):
             if i == j:
@@ -461,11 +503,11 @@ def _verify_component_structure(f: BilinearMap, deco: BilinearDecomposition):
             for x in a.m_rows:
                 for y in b.m_rows:
                     if not f.n.is_zero(f.evaluate(x, y)):
-                        raise RuntimeError("cross-component product is nonzero")
+                        raise InvariantViolation("cross-component product is nonzero")
     for comp in deco.components:
         sub_report = p_of_f(comp.map)
         if sub_report.algebra.rank != comp.local.algebra.dim:
-            raise RuntimeError(
+            raise InvariantViolation(
                 "component scalar ring does not match its local factor"
             )
 
@@ -483,7 +525,6 @@ class ScalarActionReport:
     annihilator_rows: tuple
     square_rows: tuple            # basis of R^2, in R coordinates
     eta: Matrix                   # R^2 basis -> quotient coordinates
-    p_report: ScalarRingReport    # P(f') on the quotient
     quotient_map: BilinearMap     # f' itself
 
 
@@ -509,56 +550,26 @@ def largest_scalar_action(
         restrict(mult.evaluate, d, q_rows, square_rows),
     )
     if two_sided_kernel(fprime):
-        raise RuntimeError("induced quotient map is degenerate")
-    rep = p_of_f(fprime)
-    # transport the image action into R^2 basis coordinates
-    im_t = Matrix.from_rows(d, list(rep.image_rows)).transpose()
-    im_t_inv = inverse(im_t)
-    actions_sq = [im_t.mul(a).mul(im_t_inv) for a in rep.action_on_image]
+        raise InvariantViolation("induced quotient map is degenerate")
     # eta: the class of each R^2 basis vector in the quotient
     change = list(q_rows) + list(ann_rows)
     eta_cols = []
     for s in square_rows:
         coords = coords_in_rows(d, change, s)
         if coords is None:
-            raise RuntimeError("R^2 vector outside R")
+            raise InvariantViolation("R^2 vector outside R")
         eta_cols.append(coords[: len(q_rows)])
-    eta = (
-        Matrix.from_cols(d, eta_cols)
-        if eta_cols
-        else Matrix(d, len(q_rows), 0, ())
-    )
-    # eta-linearity: A_Q . eta = eta . A_{R^2}, linear over the P basis
-    rows = []
-    for a_q, a_sq in zip(rep.algebra.basis, actions_sq):
-        diff = a_q.mul(eta).sub(eta.mul(a_sq))
-        rows.append(diff.entries)
-    coeff_rows = []
-    if rows:
-        for entry_idx in range(len(rows[0])):
-            coeff_rows.append(tuple(rows[a][entry_idx] for a in range(len(rows))))
-    if coeff_rows:
-        kern = kernel_basis(Matrix.from_rows(d, coeff_rows))
-        vectors = [
-            rep.algebra.combine(kern.col(j)).entries for j in range(kern.cols)
-        ]
-        algebra = EndoAlgebra.from_vectors(d, len(q_rows), vectors)
-    else:
-        algebra = rep.algebra
-    final_actions = []
-    for a in algebra.basis:
-        coords = rep.algebra.coords_of(a)
-        acc = Matrix.zero(d, len(square_rows), len(square_rows))
-        for c, act in zip(coords, actions_sq):
-            acc = acc.add(act.scale(c))
-        final_actions.append(acc)
+    eta = Matrix.from_cols(d, eta_cols)
+    rep = _certified(fprime, centroid_of(fprime, eta), "A(R)")
+    if len(rep.image_rows) != len(square_rows):
+        raise InvariantViolation("the quotient map does not fill R^2")
+    # f' is full, so its image rows are the R^2 basis: C is in R^2 coords
     return ScalarActionReport(
-        algebra=algebra,
-        action_on_square=tuple(final_actions),
+        algebra=rep.algebra,
+        action_on_square=rep.action_on_image,
         quotient_rows=tuple(q_rows),
         annihilator_rows=tuple(ann_rows),
         square_rows=tuple(square_rows),
         eta=eta,
-        p_report=rep,
         quotient_map=fprime,
     )

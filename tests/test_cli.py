@@ -281,3 +281,15 @@ def test_residue_field_over_extension_base():
     assert "[" not in line.replace("[t]", "").replace("[s]", "")
     assert line.count("t") == line.count("[t]") == 1
     assert line == "residue_field: Q[t]/(1,0,1)[s]/(-2 + s^2)"
+
+
+def test_a_failed_certificate_is_a_pipeline_error(monkeypatch):
+    from ringlab import scalars
+
+    monkeypatch.setattr(scalars, "_certify_bilinearity", lambda f, report: False)
+    code, out, err = run_cli("analyze", fixture_path("h3"))
+    assert code == 2 and not out
+    assert err == (
+        "ringlab: pipeline error at stage 'group_decompose': "
+        "A(R) bilinearity certificate failed\n"
+    )

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,57 @@ def test_centroid_heisenberg():
     # scalars plus Hom(R/R', Ann): dimension 1 + 2*1 = 3 for h3
     assert cent.rank == 3
     assert cent.is_commutative()
+
+
+def _brute_force_centroid(r):
+    """Every X in End(R) over GF(2) with X(xy) = (Xx)y = x(Xy), as entry tuples."""
+    n = r.dim
+    f = r.as_bilinear()
+    basis = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    found = set()
+    for entries in itertools.product((0, 1), repeat=n * n):
+        def x_of(v):
+            return tuple(
+                sum(entries[a * n + b] * v[b] for b in range(n)) % 2 for a in range(n)
+            )
+
+        if all(
+            x_of(f.evaluate(u, v)) == f.evaluate(x_of(u), v) == f.evaluate(u, x_of(v))
+            for u in basis
+            for v in basis
+        ):
+            found.add(entries)
+    return found
+
+
+def _span_over_gf2(endo):
+    return {
+        tuple(
+            sum(c * m.entries[k] for c, m in zip(coeffs, endo.basis)) % 2
+            for k in range(endo.dim * endo.dim)
+        )
+        for coeffs in itertools.product((0, 1), repeat=endo.rank)
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_centroid_matches_brute_force_over_gf2(seed):
+    rng = random.Random(seed)
+    entries = {
+        (i, j): tuple(rng.randrange(2) for _ in range(3))
+        for i in range(3)
+        for j in range(3)
+        if rng.random() < 0.4
+    }
+    r = gfring(2, 3, entries)
+    assert _span_over_gf2(centroid(r)) == _brute_force_centroid(r)
+
+
+def test_centroid_of_a_zero_ring_is_all_of_end():
+    r = gfring(2, 3, {})
+    cent = centroid(r)
+    assert cent.rank == 9
+    assert _span_over_gf2(cent) == _brute_force_centroid(r)
 
 
 def test_component_enrichment_heisenberg():

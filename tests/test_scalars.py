@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -9,12 +10,15 @@ from ringlab.bilinear import (
     foundation_addition_split,
     verify_reassembly,
 )
-from ringlab.domains import PrimeField, QQ
+from ringlab.documents import load_document
+from ringlab.domains import Extension, PrimeField, QQ
 from ringlab.errors import DegenerateInput
-from ringlab.linalg import Matrix
+from ringlab.linalg import Matrix, inverse, kernel_basis
+from ringlab.rings import RingPresentation, annihilator, foundation_addition, square_ideal
 from ringlab.scalars import (
     decompose_via_scalars,
     largest_scalar_action,
+    _stabilizer_inside,
     p_of_f,
     symmetric_endos,
     tensor_matrix,
@@ -121,7 +125,9 @@ def test_action_well_defined_on_random_relation_representatives():
     rng = random.Random(13)
     rep = p_of_f(ALT_SUM)
     tmat = tensor_matrix(ALT_SUM)
-    kernel = rep.relation_kernel
+    kern = kernel_basis(tmat)
+    kernel = [kern.col(j) for j in range(kern.cols)]
+    assert kernel  # ker(f-bar) is nonzero, so the noise below moves the preimage
     from ringlab.linalg import solve
     from ringlab.scalars import _tensor_action_vector
 
@@ -232,3 +238,138 @@ def test_largest_scalar_action_rejects_zero_multiplication():
     mult = qmap(2, 2, {})
     with pytest.raises(DegenerateInput):
         largest_scalar_action(mult, [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))], [])
+
+
+# -- independent oracles for the centroid solver ---------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+QSQRT2 = Extension(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+
+
+def quotient_action(r):
+    """A(R_f) of the foundation R_f of r, with the quotient map f' it cuts."""
+    rf = foundation_addition(r).foundation
+    return largest_scalar_action(rf.as_bilinear(), annihilator(rf), square_ideal(rf))
+
+
+def golden_ring(name):
+    with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as f:
+        return load_document(f.read()).ring()
+
+
+def sqrt2_map():
+    """ALT_SUM over Q(sqrt 2) with the second block scaled by sqrt 2."""
+    k = QSQRT2
+    one, s2 = k.one(), k.generator()
+    zero = (k.zero(), k.zero())
+    entries = {
+        (0, 1): (one, k.zero()),
+        (1, 0): (k.neg(one), k.zero()),
+        (2, 3): (k.zero(), s2),
+        (3, 2): (k.zero(), k.neg(s2)),
+        (0, 0): (one, one),
+    }
+    tensor = tuple(
+        tuple(entries.get((i, j), zero) for j in range(4)) for i in range(4)
+    )
+    return BilinearMap(field_carrier(k, 4), field_carrier(k, 2), tensor)
+
+
+# ALT_SUM into a codomain with one unused coordinate: nondegenerate, not full
+ALT_SUM_WIDE = qmap(
+    4,
+    3,
+    {(0, 1): (1, 0, 0), (1, 0): (-1, 0, 0), (2, 3): (0, 0, 1), (3, 2): (0, 0, -1)},
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ALT_SUM,
+        lambda: quotient_action(golden_ring("R3-q")).quotient_map,
+        lambda: quotient_action(golden_ring("h3x2+q")).quotient_map,
+        sqrt2_map,
+        lambda: ALT_SUM_WIDE,
+        lambda: qmap(2, 2, {(0, 0): (1, 0), (0, 1): (0, 1)}),
+    ],
+    ids=["alt-sum", "R3-quotient", "h3x2+q-quotient", "q-sqrt2", "not-full", "one-sided"],
+)
+def test_p_of_f_is_the_stabilizer_of_the_relation_kernel_in_z(make):
+    f = make()
+    tmat = tensor_matrix(f)
+    kern = kernel_basis(tmat)
+    stabilizer = _stabilizer_inside(f, z_center(f), [kern.col(j) for j in range(kern.cols)])
+    rep = p_of_f(f)
+    assert rep.bilinear_certified
+    assert rep.algebra.rank > 0
+    assert rep.algebra.equal(stabilizer)
+
+
+def truncated_t():
+    """t, t^2, t^3 with t^4 = 0: R^2 = <t^2, t^3> is not inside Ann = <t^3>."""
+    return RingPresentation(
+        field_carrier(QQ, 3),
+        tuple(
+            tuple(
+                tuple(Fraction(int(i + j + 1 == t)) for t in range(3))
+                for j in range(3)
+            )
+            for i in range(3)
+        ),
+    )
+
+
+def split_gf3_ring(seed):
+    """GF(3)^3, componentwise, in a seeded random basis: A(R) has rank 3."""
+    rng = random.Random(seed)
+    gf3 = PrimeField(3)
+    while True:
+        p = Matrix.from_rows(gf3, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
+        try:
+            q = inverse(p)
+            break
+        except ZeroDivisionError:
+            continue
+    # b_a b_b = sum_i p[a][i] p[b][i] e_i, and e_i = sum_c q[i][c] b_c
+    tensor = tuple(
+        tuple(
+            tuple(
+                sum(p.get(a, i) * p.get(b, i) * q.get(i, c) for i in range(3)) % 3
+                for c in range(3)
+            )
+            for b in range(3)
+        )
+        for a in range(3)
+    )
+    return RingPresentation(field_carrier(gf3, 3), tensor)
+
+
+def eta_cuts_ring():
+    """b1 b1 = b0, b2 b0 = b0 + b2, b3 b3 = b3 over GF(2)."""
+    products = {(1, 1): (1, 0, 0, 0), (2, 0): (1, 0, 1, 0), (3, 3): (0, 0, 0, 1)}
+    tensor = tuple(
+        tuple(products.get((i, j), (0,) * 4) for j in range(4)) for i in range(4)
+    )
+    return RingPresentation(field_carrier(PrimeField(2), 4), tensor)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [truncated_t, eta_cuts_ring, lambda: golden_ring("R3-q")] + [
+        (lambda s=s: split_gf3_ring(s)) for s in range(4)
+    ],
+)
+def test_every_a_of_r_element_is_eta_linear(make):
+    r = make()
+    rep = largest_scalar_action(r.as_bilinear(), annihilator(r), square_ideal(r))
+    assert rep.algebra.basis
+    for a, c in zip(rep.algebra.basis, rep.action_on_square, strict=True):
+        assert a.mul(rep.eta).eq(rep.eta.mul(c))
+
+
+def test_eta_linearity_cuts_p_of_the_quotient_map():
+    r = eta_cuts_ring()
+    rep = largest_scalar_action(r.as_bilinear(), annihilator(r), square_ideal(r))
+    assert not rep.eta.is_zero()
+    assert (rep.algebra.rank, p_of_f(rep.quotient_map).algebra.rank) == (2, 3)
