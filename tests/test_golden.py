@@ -1,9 +1,12 @@
-"""Whole-report golden tests: `analyze` stdout compared byte for byte.
+"""Whole-report golden tests: command stdout compared byte for byte.
 
 The five packaged fixtures run with `--format json` and with
 `--format text --witnesses`; six benchmark inputs (seed 1 of
 `ringbench/workloads.py`, copied under `golden/inputs/`) run with
-`--format json`.  Expected bytes live in `golden/expected/`.
+`--format json`.  `malcev mul`, `comm` and `pow` run on the malcev-q top
+rung h3x3+q, and the q-x2-2-squared fixture is re-read with
+`--extension=1,0,1` as json and as text.  Expected bytes live in
+`golden/expected/`.
 
 To record them again, on a tree whose reports are known good:
 
@@ -36,35 +39,57 @@ BENCH_INPUTS = {
     "h3x2+q": "lie-q",
     "L6": "lie-q",
 }
+MALCEV_INPUTS = {"h3x3+q": "malcev-q"}
+
+# the arguments `workloads.build("malcev-q", 1, ...)` gives the h3x3+q commands
+H3X3_X = "(-1,-4/3,4/3,7/2,-1/8,-7/6,-5/7,7/4,7/9,1)"
+H3X3_Y = "(1/5,-3/2,1/5,-6/5,8/7,-3/7,-3,-3,-1/8,-2/5)"
+H3X3_EXPONENT = "1/2"
 
 
 def _fixture(name):
     return str(resources.files("ringlab.fixtures").joinpath(f"{name}.json"))
 
 
+def _input(name):
+    return os.path.join(INPUTS, f"{name}.json")
+
+
+# (expected file, argv)
 CASES = (
-    [(f"{n}.json", _fixture(n), ["--format", "json"]) for n in FIXTURE_NAMES]
+    [(f"{n}.json", ["analyze", _fixture(n), "--format", "json"]) for n in FIXTURE_NAMES]
     + [
-        (f"{n}.txt", _fixture(n), ["--format", "text", "--witnesses"])
+        (f"{n}.txt", ["analyze", _fixture(n), "--format", "text", "--witnesses"])
         for n in FIXTURE_NAMES
     ]
     + [
-        (f"{n}.json", os.path.join(INPUTS, f"{n}.json"), ["--format", "json"])
+        (f"{n}.json", ["analyze", _input(n), "--format", "json"])
         for n in BENCH_INPUTS
+    ]
+    + [
+        (f"malcev-{op}-h3x3+q.json", ["malcev", op, _input("h3x3+q"), H3X3_X, arg, "--format", "json"])
+        for op, arg in (("mul", H3X3_Y), ("comm", H3X3_Y), ("pow", H3X3_EXPONENT))
+    ]
+    + [
+        (
+            f"q-x2-2-squared-ext.{ext}",
+            ["analyze", _fixture("q-x2-2-squared"), "--extension=1,0,1", "--format", fmt],
+        )
+        for ext, fmt in (("json", "json"), ("txt", "text"))
     ]
 )
 
 
-def _analyze(path, flags):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["analyze", path, *flags])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("expected, path, flags", CASES, ids=[c[0] for c in CASES])
-def test_report_bytes(expected, path, flags):
-    code, out, err = _analyze(path, flags)
+@pytest.mark.parametrize("expected, argv", CASES, ids=[c[0] for c in CASES])
+def test_report_bytes(expected, argv):
+    code, out, err = _run(argv)
     assert (code, err) == (0, "")
     with open(os.path.join(EXPECTED, expected), encoding="utf-8", newline="") as f:
         assert out == f.read()
@@ -77,16 +102,17 @@ def _record():
 
     os.makedirs(INPUTS, exist_ok=True)
     os.makedirs(EXPECTED, exist_ok=True)
+    inputs = {**BENCH_INPUTS, **MALCEV_INPUTS}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in sorted(set(BENCH_INPUTS.values())):
+        for workload in sorted(set(inputs.values())):
             workloads.build(workload, 1, os.path.join(tmp, workload))
-        for name, workload in BENCH_INPUTS.items():
+        for name, workload in inputs.items():
             shutil.copy(
                 os.path.join(tmp, workload, f"{name}.json"),
                 os.path.join(INPUTS, f"{name}.json"),
             )
-    for expected, path, flags in CASES:
-        code, out, err = _analyze(path, flags)
+    for expected, argv in CASES:
+        code, out, err = _run(argv)
         if code or err:
             raise SystemExit(f"{expected}: exit {code}: {err}")
         with open(os.path.join(EXPECTED, expected), "w", encoding="utf-8", newline="") as f:
