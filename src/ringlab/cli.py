@@ -2,7 +2,9 @@
 
     ringlab analyze FILE [--format text|json] [--witnesses] [--seed N]
                          [--max-class N] [--width-bound N] [--extension C0,C1,...]
-    ringlab malcev {mul,pow,comm,decompose} FILE [ARGS] [--max-class N]
+    ringlab malcev {mul,comm} FILE G H [--max-class N]
+    ringlab malcev pow FILE G EXPONENT [--max-class N]
+    ringlab malcev decompose FILE [--max-class N]
     ringlab selftest {quick,full} [--format text|json]
 
 Exit codes: 0 success, 1 validation/parse error, 2 pipeline error.
@@ -14,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .documents import InputDocument, load_document
-from .domains import Extension, PrimeField, Rationals
+from .domains import QQ, Extension, PrimeField, Rationals
 from .errors import (
     ParseError,
     PipelineError,
@@ -112,7 +113,22 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# the positional arguments each malcev subcommand takes after FILE
+_MALCEV_ARGS = {
+    "mul": ("G", "H"),
+    "comm": ("G", "H"),
+    "pow": ("G", "EXPONENT"),
+    "decompose": (),
+}
+
+
 def _cmd_malcev(args) -> int:
+    wanted = _MALCEV_ARGS[args.subcommand]
+    if len(args.args) != len(wanted):
+        raise ValidationError(
+            f"malcev {args.subcommand} takes {' '.join(wanted) or 'no arguments'}"
+            f" after FILE, got {len(args.args)} argument(s)"
+        )
     doc = _read_document(args.file, args.extension)
     if doc.kind != "lie":
         raise ValidationError("malcev commands need a 'lie' document")
@@ -130,7 +146,7 @@ def _cmd_malcev(args) -> int:
         result = {"operation": "mul", "result": fmt_coords(group_mul(g, h, args.max_class))}
     elif args.subcommand == "pow":
         g = _parse_group_element(args.args[0], algebra)
-        exponent = Fraction(args.args[1])
+        exponent = QQ.parse(args.args[1])
         result = {"operation": "pow", "result": fmt_coords(group_pow(g, exponent))}
     elif args.subcommand == "comm":
         g = _parse_group_element(args.args[0], algebra)

@@ -1,8 +1,9 @@
 """Exact coefficient domains.
 
-A Domain supplies arithmetic on plain Python values: Fraction for the
-rationals, int for integers / prime fields / residue rings, and tuples of
-base-field values for simple algebraic extensions.  Every operation is
+A Domain supplies arithmetic on plain Python values: for the rationals an
+int when the value is integral and a Fraction otherwise, int for integers /
+prime fields / residue rings, and tuples of base-field values for simple
+algebraic extensions.  Every operation is
 exact; nothing here ever rounds.
 
 Domains are immutable and hashable, so any value may be shared freely
@@ -91,26 +92,44 @@ class Domain:
 
 
 class Rationals(Domain):
+    """Q with values kept as int when integral and as Fraction otherwise.
+
+    Nearly every entry met in practice is a small integer, and int arithmetic
+    costs a fraction of Fraction arithmetic.  The mix is invisible to callers:
+    int and Fraction agree on str, == and hash, so reports, dict keys and
+    cache keys are the same whichever type a value has.  Every operation
+    below returns an int exactly when its result is integral; callers divide
+    only through div (a raw / on two ints would give a float).
+    """
+
     is_field = True
     char = 0
     kind = "rationals"
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
-        return -a
+        c = -a
+        return c if type(c) is int or c.denominator != 1 else c.numerator
+
+    def sub(self, a, b):
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        c = Fraction(a.denominator, a.numerator)
+        return c.numerator if c.denominator == 1 else c
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -119,12 +138,13 @@ class Rationals(Domain):
         if isinstance(obj, bool) or isinstance(obj, float):
             raise ValidationError(f"rational literals must be exact, got {obj!r}")
         if isinstance(obj, int):
-            return Fraction(obj)
+            return obj
         if isinstance(obj, str):
             try:
-                return Fraction(obj.strip())
+                c = Fraction(obj.strip())
             except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"not a rational literal: {obj!r}") from None
+            return c.numerator if c.denominator == 1 else c
         raise ValidationError(f"not a rational literal: {obj!r}")
 
     def format(self, a):

@@ -245,8 +245,6 @@ def group_inv(g: GroupElement) -> GroupElement:
 
 def group_pow(g: GroupElement, a) -> GroupElement:
     d = g.algebra.domain
-    if isinstance(a, int):
-        a = Fraction(a)
     scalar = d.mul(d.from_int(a.numerator), d.inv(d.from_int(a.denominator)))
     return GroupElement(
         g.algebra, tuple(d.mul(scalar, c) for c in g.log)

@@ -13,7 +13,6 @@ whose factorization cannot be settled this way raise UnsupportedDegree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
 from .domains import (
@@ -314,7 +313,7 @@ def _rational_roots(f: Poly):
     roots = []
     ints = _to_integer_coeffs(f)
     while ints and ints[0] == 0:
-        roots.append(Fraction(0))
+        roots.append(QQ.zero())
         ints = ints[1:]
     if len(ints) <= 1:
         return roots
@@ -323,7 +322,7 @@ def _rational_roots(f: Poly):
     for u in _divisors(a0):
         for v in _divisors(an):
             for sign in (1, -1):
-                cand = Fraction(sign * u, v)
+                cand = QQ.div(sign * u, v)
                 if cand in seen:
                     continue
                 seen.add(cand)
@@ -332,62 +331,59 @@ def _rational_roots(f: Poly):
     return roots
 
 
-def _is_square_fraction(q: Fraction):
+def _rational_sqrt(q):
+    """The square root of q in Q, or None if q is not a rational square."""
     if q < 0:
         return None
     nr, dr = isqrt(q.numerator), isqrt(q.denominator)
     if nr * nr == q.numerator and dr * dr == q.denominator:
-        return Fraction(nr, dr)
+        return QQ.div(nr, dr)
     return None
 
 
 def _factor_quadratic_q(f: Poly):
     # monic x^2 + bx + c, no precondition on roots
     b, c = f.coeffs[1], f.coeffs[0]
-    disc = b * b - 4 * c
-    root = _is_square_fraction(disc)
+    root = _rational_sqrt(QQ.sub(QQ.mul(b, b), QQ.mul(4, c)))
     if root is None:
         return [f]
-    r1 = (-b + root) / 2
-    r2 = (-b - root) / 2
-    return [Poly(QQ, (-r1, Fraction(1))), Poly(QQ, (-r2, Fraction(1)))]
+    r1 = QQ.div(QQ.sub(root, b), 2)
+    r2 = QQ.div(QQ.neg(QQ.add(b, root)), 2)
+    return [Poly(QQ, (QQ.neg(r1), 1)), Poly(QQ, (QQ.neg(r2), 1))]
 
 
 def _factor_quartic_q(f: Poly):
     """Monic quartic with no rational roots: split into quadratics or certify
     irreducible, via the resolvent cubic of the depressed form."""
-    p3 = f.coeffs[3]
-    shift = Poly(QQ, (-p3 / 4, Fraction(1)))
-    g = f.compose(shift)  # depressed: y^4 + P y^2 + Q y + R
+    s = QQ.div(f.coeffs[3], 4)
+    g = f.compose(Poly(QQ, (QQ.neg(s), 1)))  # depressed: y^4 + P y^2 + Q y + R
     P, Q, R = g.coeffs[2], g.coeffs[1], g.coeffs[0]
-    back = Poly(QQ, (p3 / 4, Fraction(1)))
+    back = Poly(QQ, (s, 1))
 
     def undepress(quads):
         return [q.compose(back).monic() for q in quads]
 
+    p2_4r = QQ.sub(QQ.mul(P, P), QQ.mul(4, R))
     if Q == 0:
         # biquadratic: (y^2 + u)(y^2 + v), u + v = P, uv = R
-        disc = _is_square_fraction(P * P - 4 * R)
+        disc = _rational_sqrt(p2_4r)
         if disc is not None:
-            u = (P + disc) / 2
-            v = (P - disc) / 2
-            return undepress(
-                [Poly(QQ, (u, Fraction(0), Fraction(1))), Poly(QQ, (v, Fraction(0), Fraction(1)))]
-            )
+            u = QQ.div(QQ.add(P, disc), 2)
+            v = QQ.div(QQ.sub(P, disc), 2)
+            return undepress([Poly(QQ, (u, 0, 1)), Poly(QQ, (v, 0, 1))])
         # fall through: a biquadratic may still split with a != 0
-    resolvent = Poly(QQ, (-Q * Q, P * P - 4 * R, 2 * P, Fraction(1)))
+    resolvent = Poly(QQ, (QQ.neg(QQ.mul(Q, Q)), p2_4r, QQ.mul(2, P), 1))
     for z in _rational_roots(resolvent):
         if z <= 0:
             continue
-        a = _is_square_fraction(z)
+        a = _rational_sqrt(z)
         if a is None:
             continue
-        b = (P + z - Q / a) / 2
-        c = (P + z + Q / a) / 2
-        if b * c == R:
-            return undepress(
-                [Poly(QQ, (b, a, Fraction(1))), Poly(QQ, (c, -a, Fraction(1)))]
-            )
+        pz, qa = QQ.add(P, z), QQ.div(Q, a)
+        b = QQ.div(QQ.sub(pz, qa), 2)
+        c = QQ.div(QQ.add(pz, qa), 2)
+        if QQ.mul(b, c) == R:
+            return undepress([Poly(QQ, (b, a, 1)), Poly(QQ, (c, QQ.neg(a), 1))])
     return [f]
 
 
@@ -419,7 +415,7 @@ def _factor_squarefree_q(f: Poly):
     factors = []
     rest = f
     for root in sorted(_rational_roots(f)):
-        linear = Poly(QQ, (-root, Fraction(1)))
+        linear = Poly(QQ, (QQ.neg(root), 1))
         factors.append(linear)
         rest = rest.exact_div(linear)
     if rest.degree == 0:

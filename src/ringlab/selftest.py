@@ -113,8 +113,8 @@ def _suite_p_enumeration(full: bool) -> dict:
 
 
 def _h3_algebra():
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = QQ.zero()
+    one = QQ.one()
     tensor = [[(zero, zero, zero) for _ in range(3)] for _ in range(3)]
     tensor[0][1] = (zero, zero, one)
     tensor[1][0] = (zero, zero, -one)

@@ -3,6 +3,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
+import pytest
+
 from ringlab.cli import main
 from ringlab.selftest import FIXTURE_NAMES, fixture_text
 
@@ -114,6 +116,32 @@ def test_malcev_comm():
     code, out, _ = run_cli("malcev", "comm", fixture_path("h3"), "(1,0,0)", "(0,1,0)")
     assert code == 0
     assert "result: (0, 0, 1)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pow", "(1,0,0)", "abc"], "not a rational literal: 'abc'"),
+        (["pow", "(1,0,0)", "1/0"], "not a rational literal: '1/0'"),
+        (["pow", "(1,0,0)"], "malcev pow takes G EXPONENT after FILE, got 1 argument(s)"),
+        (["mul", "(1,0,0)"], "malcev mul takes G H after FILE, got 1 argument(s)"),
+        (["comm", "(1,0,0)"], "malcev comm takes G H after FILE, got 1 argument(s)"),
+        (["decompose", "x"], "malcev decompose takes no arguments after FILE, got 1 argument(s)"),
+    ],
+    ids=[
+        "pow-not-rational",
+        "pow-zero-denominator",
+        "pow-no-exponent",
+        "mul-one-element",
+        "comm-one-element",
+        "decompose-extra-argument",
+    ],
+)
+def test_malcev_argument_errors_are_invalid_input(argv, message):
+    subcommand, *rest = argv
+    code, out, err = run_cli("malcev", subcommand, fixture_path("h3"), *rest)
+    assert (code, out) == (1, "")
+    assert err == f"ringlab: invalid input: {message}\n"
 
 
 def filiform_document(dim):

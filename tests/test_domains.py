@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ringlab.domains import Extension, PrimeField, QQ, Residues, ZZ
 from ringlab.errors import NonFieldDomain, ValidationError
+from ringlab.polynomials import Poly, poly_factor
 
 
 def test_rational_parse_exact():
@@ -72,3 +73,48 @@ def test_gf5_inverse_roundtrip(a, b):
     if a % 5:
         assert gf5.mul(a, gf5.inv(a)) == 1
     assert gf5.sub(a, b) == (a - b) % 5
+
+
+def _check_rational(value, expected):
+    """value equals the Fraction result, and is an int exactly when integral."""
+    expected = Fraction(expected)
+    assert value == expected
+    assert not isinstance(value, float)
+    assert isinstance(value, int) == (expected.denominator == 1)
+
+
+# ints and Fractions, as the domain holds them and as callers may pass them
+rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12))
+
+
+@given(rationals, rationals, st.integers(-10**20, 10**20))
+def test_rational_results_are_int_exactly_when_integral(a, b, n):
+    fa, fb = Fraction(a), Fraction(b)
+    _check_rational(QQ.from_int(n), n)
+    _check_rational(QQ.parse(n), n)
+    _check_rational(QQ.parse(str(fa)), fa)
+    _check_rational(QQ.parse(f"{fa.numerator * 3}/{fa.denominator * 3}"), fa)
+    _check_rational(QQ.add(a, b), fa + fb)
+    _check_rational(QQ.sub(a, b), fa - fb)
+    _check_rational(QQ.mul(a, b), fa * fb)
+    _check_rational(QQ.neg(a), -fa)
+    if fb:
+        _check_rational(QQ.inv(b), 1 / fb)
+        _check_rational(QQ.div(a, b), fa / fb)
+
+
+def test_rational_poly_factors_hold_no_float():
+    # (x^2+x+1/2)(x^2-x+3): no cubic term, so the quartic solver divides
+    # the zero shift, and the resolvent root 1 gives integral halves
+    cases = [
+        (Fraction(3, 2), Fraction(5, 2), Fraction(5, 2), 0, 1),
+        (4, 0, -5, 0, 1),  # (x^2-1)(x^2-4): rational roots
+        (6, 0, 5, 0, 1),  # (x^2+2)(x^2+3): biquadratic
+        (-2, 0, 1),  # x^2 - 2, irreducible
+        (6, -5, 1),  # (x-2)(x-3)
+        (1, 2, 1),  # (x+1)^2
+    ]
+    for coeffs in cases:
+        for factor, _ in poly_factor(Poly(QQ, coeffs)):
+            for c in factor.coeffs:
+                _check_rational(c, c)
