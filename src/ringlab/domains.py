@@ -3,8 +3,7 @@
 A Domain supplies arithmetic on plain Python values: for the rationals an
 int when the value is integral and a Fraction otherwise, int for integers /
 prime fields / residue rings, and tuples of base-field values for simple
-algebraic extensions.  Every operation is
-exact; nothing here ever rounds.
+algebraic extensions.  Every operation is exact; nothing here ever rounds.
 
 Domains are immutable and hashable, so any value may be shared freely
 across threads.
