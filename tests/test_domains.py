@@ -104,8 +104,8 @@ def test_rational_results_are_int_exactly_when_integral(a, b, n):
 
 
 def test_rational_poly_factors_hold_no_float():
-    # (x^2+x+1/2)(x^2-x+3): no cubic term, so the quartic solver divides
-    # the zero shift, and the resolvent root 1 gives integral halves
+    # (x^2+x+1/2)(x^2-x+3): the quartic solver's shift is 0/4, which a raw
+    # / on two ints would turn into a float
     cases = [
         (Fraction(3, 2), Fraction(5, 2), Fraction(5, 2), 0, 1),
         (4, 0, -5, 0, 1),  # (x^2-1)(x^2-4): rational roots
