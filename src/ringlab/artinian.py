@@ -26,6 +26,7 @@ from .bilinear import (
 from .domains import Domain, Extension, PrimeField, Rationals, poly_xgcd
 from .errors import (
     ActionNotWellFormed,
+    InvariantViolation,
     NonFieldDomain,
     ProbeFailure,
     UnsupportedDomain,
@@ -115,10 +116,7 @@ class CommutativeAlgebra:
             for j, yj in enumerate(y):
                 if d.is_zero(yj):
                     continue
-                c = d.mul(xi, yj)
-                entry = self.tensor[i][j]
-                for t in range(self.dim):
-                    acc[t] = d.add(acc[t], d.mul(c, entry[t]))
+                d.add_scaled(acc, d.mul(xi, yj), self.tensor[i][j], range(self.dim))
         return tuple(acc)
 
     def left_mult_matrix(self, x) -> Matrix:
@@ -157,7 +155,8 @@ class CommutativeAlgebra:
                 # first linear dependence: solve for the last power
                 mat = Matrix.from_cols(d, powers[:-1])
                 res = solve(mat, powers[-1])
-                assert res is not None
+                if res is None:
+                    raise InvariantViolation("minimal polynomial: dependent power not in the span")
                 coeffs = tuple(d.neg(c) for c in res[0]) + (d.one(),)
                 return Poly(d, coeffs)
             powers.append(self.mult(powers[-1], x))
@@ -628,7 +627,7 @@ def field_of_representatives(lf: LocalFactor) -> FieldOfRepresentatives:
         deriv = block.evaluate_poly(fprime, s)
         res = solve(block.left_mult_matrix(deriv), block.unit)
         if res is None:
-            raise RuntimeError("derivative not invertible during Hensel lifting")
+            raise InvariantViolation("Hensel lifting: the derivative is not invertible")
         inv = res[0]
         correction = block.mult(value, inv)
         s = tuple(d.sub(a, b) for a, b in zip(s, correction))

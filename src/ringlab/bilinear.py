@@ -185,10 +185,7 @@ class BilinearMap:
                 for j, yj in enumerate(y):
                     if d.is_zero(yj):
                         continue
-                    c = d.mul(xi, yj)
-                    entry = self.tensor[i][j]
-                    for t in range(self.n.dim):
-                        acc[t] = d.add(acc[t], d.mul(c, entry[t]))
+                    d.add_scaled(acc, d.mul(xi, yj), self.tensor[i][j], range(self.n.dim))
             return self.n.reduce(tuple(acc))
         # int/Fraction coordinates: accumulate exactly, reduce mod orders at
         # the end; zero tensor coordinates are skipped so Fraction scalars

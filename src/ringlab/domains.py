@@ -71,6 +71,13 @@ class Domain:
     def eq(self, a, b) -> bool:
         return self.sub(a, b) == self.zero()
 
+    def add_scaled(self, acc, c, row, cols):
+        """acc[j] += c * row[j] for each j in cols, in place on the list acc:
+        the row kernel of elimination, inlined by the number domains."""
+        add, mul = self.add, self.mul
+        for j in cols:
+            acc[j] = add(acc[j], mul(c, row[j]))
+
     def element_seed(self, n: int):
         """Deterministic element stream for probing; n = 0, 1, 2, ..."""
         return self.from_int(n)
@@ -133,6 +140,11 @@ class Rationals(Domain):
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def add_scaled(self, acc, c, row, cols):
+        for j in cols:
+            x = acc[j] + c * row[j]
+            acc[j] = x if type(x) is int or x.denominator != 1 else x.numerator
+
     def parse(self, obj):
         if isinstance(obj, bool) or isinstance(obj, float):
             raise ValidationError(f"rational literals must be exact, got {obj!r}")
@@ -173,8 +185,18 @@ class Integers(Domain):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def add_scaled(self, acc, c, row, cols):
+        for j in cols:
+            acc[j] += c * row[j]
 
     def parse(self, obj):
         if isinstance(obj, bool) or isinstance(obj, float):
@@ -220,8 +242,19 @@ class PrimeField(Domain):
     def neg(self, a):
         return (-a) % self.p
 
+    def sub(self, a, b):
+        return (a - b) % self.p
+
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def add_scaled(self, acc, c, row, cols):
+        p = self.p
+        for j in cols:
+            acc[j] = (acc[j] + c * row[j]) % p
 
     def inv(self, a):
         a %= self.p

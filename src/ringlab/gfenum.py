@@ -42,11 +42,15 @@ def pack_rows(rows, p: int):
 
 
 def unique_rows(rows, p: int):
+    """The distinct rows in first-occurrence order: the least original index
+    of each run of equal keys after an unstable sort (no stable sort)."""
     import numpy as np
 
     keys = pack_rows(rows, p)
-    _, index = np.unique(keys, return_index=True)
-    return rows[np.sort(index)]
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[len(keys) > 0, keys[1:] != keys[:-1]])
+    return rows[np.sort(np.minimum.reduceat(order, starts))]
 
 
 def _unique_chunks(blocks, p: int):

@@ -25,6 +25,7 @@ from .domains import QQ, Rationals
 from .errors import (
     AlgebraMismatch,
     ClassTooLarge,
+    InvariantViolation,
     NotLie,
     NotNilpotent,
     UnsupportedDomain,
@@ -169,9 +170,7 @@ def _ad_rows(tensor, d, x):
     for i, xi in enumerate(x):
         if not d.is_zero(xi):
             for j, entry in enumerate(tensor[i]):
-                for t, e in enumerate(entry):
-                    if not d.is_zero(e):
-                        cols[j][t] = d.add(cols[j][t], d.mul(xi, e))
+                d.add_scaled(cols[j], xi, entry, range(n))
     return [
         [(j, col[t]) for j, col in enumerate(cols) if not d.is_zero(col[t])]
         for t in range(n)
@@ -200,7 +199,7 @@ def bch(l: NilpotentLieAlgebra, x, y, max_class: int | None = None):
         if not live:
             continue  # every word through a zero suffix vanishes
         if scalar is not None:
-            acc = [d.add(a, d.mul(scalar, v)) for a, v in zip(acc, value)]
+            d.add_scaled(acc, scalar, value, live)
         for letter, child in children:
             image = [
                 reduce(d.add, (d.mul(e, live[j]) for j, e in row if j in live), zero)
@@ -529,7 +528,7 @@ def bch_hall_table(c: int):
 
     res = solve(Matrix.from_rows(QQ, rows), rhs)
     if res is None:
-        raise RuntimeError("Hall expansion system is inconsistent")
+        raise InvariantViolation("Hall table: the Hall expansion system is inconsistent")
     return tuple(zip(words, res[0]))
 
 
@@ -552,7 +551,5 @@ def bch_via_hall_table(l: NilpotentLieAlgebra, x, y):
     for word, coeff in bch_hall_table(l.nilpotency_class):
         if coeff == 0:
             continue
-        value = _evaluate_hall_word(l, word, x, y)
-        for t in range(l.dim):
-            acc[t] = d.add(acc[t], d.mul(coeff, value[t]))
+        d.add_scaled(acc, coeff, _evaluate_hall_word(l, word, x, y), range(l.dim))
     return tuple(acc)

@@ -153,60 +153,62 @@ class Matrix:
 
 
 def rref(m: Matrix):
-    """Reduced row-echelon form over a field: (matrix, pivot columns, rank)."""
+    """Reduced row-echelon form over a field: (matrix, pivot columns, rank).
+
+    Each step runs the domain's add_scaled row kernel over the pivot row's
+    nonzero columns only; left of the pivot column that row is zero.
+    """
     require_field(m.domain, "rref")
     d = m.domain
     rows = m.row_list()
     pivots = []
     piv_row = 0
     for col in range(m.cols):
-        sel = None
-        for r in range(piv_row, m.rows):
-            if not d.is_zero(rows[r][col]):
-                sel = r
-                break
+        sel = next((r for r in range(piv_row, m.rows) if not d.is_zero(rows[r][col])), None)
         if sel is None:
             continue
         rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
         inv = d.inv(rows[piv_row][col])
-        rows[piv_row] = [d.mul(inv, x) for x in rows[piv_row]]
-        for r in range(m.rows):
-            if r == piv_row:
-                continue
-            factor = rows[r][col]
-            if d.is_zero(factor):
-                continue
-            rows[r] = [d.sub(x, d.mul(factor, y)) for x, y in zip(rows[r], rows[piv_row])]
+        prow = rows[piv_row] = [d.mul(inv, x) for x in rows[piv_row]]
+        support = [j for j in range(col, m.cols) if not d.is_zero(prow[j])]
+        for r, row in enumerate(rows):
+            if r != piv_row and not d.is_zero(row[col]):
+                d.add_scaled(row, d.neg(row[col]), prow, support)
         pivots.append(col)
         piv_row += 1
-        if piv_row == m.rows:
-            break
-    return Matrix.from_rows(d, rows), tuple(pivots), len(pivots)
+    flat = tuple(x for row in rows for x in row)
+    return Matrix(d, m.rows, m.cols, flat), tuple(pivots), len(pivots)
 
 
 def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns spanning {x : m.x = 0}, over a field; cols - rank columns."""
-    reduced, pivots, rk = rref(m)
-    d = m.domain
-    free_cols = [j for j in range(m.cols) if j not in pivots]
+def _kernel_from(reduced: Matrix, pivots, cols: int) -> Matrix:
+    """Kernel columns of the first cols columns of a reduced echelon form
+    whose pivots all lie in those columns."""
+    d = reduced.domain
     basis = []
-    for fc in free_cols:
-        vec = [d.zero()] * m.cols
+    for fc in (j for j in range(cols) if j not in pivots):
+        vec = [d.zero()] * cols
         vec[fc] = d.one()
         for r, pc in enumerate(pivots):
             vec[pc] = d.neg(reduced.get(r, fc))
         basis.append(vec)
-    return Matrix.from_cols(d, basis) if basis else Matrix(d, m.cols, 0, ())
+    return Matrix.from_cols(d, basis) if basis else Matrix(d, cols, 0, ())
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns spanning {x : m.x = 0}, over a field; cols - rank columns."""
+    reduced, pivots, _ = rref(m)
+    return _kernel_from(reduced, pivots, m.cols)
 
 
 def solve(m: Matrix, b):
     """Particular solution of m.x = b plus a kernel basis, or None.
 
-    b is a coordinate sequence of length m.rows.
+    b is a coordinate sequence of length m.rows.  One reduction of [m | b]
+    gives both: its first m.cols columns are the reduced form of m.
     """
     require_field(m.domain, "solve")
     if len(b) != m.rows:
@@ -219,7 +221,7 @@ def solve(m: Matrix, b):
     x = [d.zero()] * m.cols
     for r, pc in enumerate(pivots):
         x[pc] = reduced.get(r, m.cols)
-    return tuple(x), kernel_basis(m)
+    return tuple(x), _kernel_from(reduced, pivots, m.cols)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -245,11 +245,11 @@ def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
         return out
 
     def axpy(xs, c, ys):
-        """xs + c ys, row by row."""
-        return [
-            [x if d.is_zero(y) else d.add(x, d.mul(c, y)) for x, y in zip(a, b)]
-            for a, b in zip(xs, ys)
-        ]
+        """xs + c ys, row by row, as new rows."""
+        out = [list(x) for x in xs]
+        for acc, y in zip(out, ys):
+            d.add_scaled(acc, c, y, [t for t, v in enumerate(y) if not d.is_zero(v)])
+        return out
 
     tmat = tensor_matrix(f)
     reduced, pairs, r = rref(tmat)
@@ -337,11 +337,9 @@ def _certify_bilinearity(f: BilinearMap, report: ScalarRingReport) -> bool:
                 right = [d.zero()] * f.n.dim
                 for l in range(n):
                     if not d.is_zero(ai[l]):
-                        for t in range(f.n.dim):
-                            left[t] = d.add(left[t], d.mul(ai[l], f.tensor[l][j][t]))
+                        d.add_scaled(left, ai[l], f.tensor[l][j], range(f.n.dim))
                     if not d.is_zero(aj[l]):
-                        for t in range(f.n.dim):
-                            right[t] = d.add(right[t], d.mul(aj[l], f.tensor[i][l][t]))
+                        d.add_scaled(right, aj[l], f.tensor[i][l], range(f.n.dim))
                 scaled = _apply_action_in_n(report, idx, f.tensor[i][j], d, f.n.dim)
                 if scaled is None:
                     return False

@@ -11,7 +11,12 @@ from ringlab.artinian import (
     radical,
 )
 from ringlab.domains import PrimeField, QQ
-from ringlab.errors import ActionNotWellFormed, NonFieldDomain, ValidationError
+from ringlab.errors import (
+    ActionNotWellFormed,
+    InvariantViolation,
+    NonFieldDomain,
+    ValidationError,
+)
 from ringlab.linalg import Matrix
 from ringlab.polynomials import Poly
 
@@ -235,3 +240,20 @@ def test_r_k_additive_across_factors():
     for algebra in (Q_X2_MINUS_X, Q_X2_MINUS_1):
         factors = local_decomposition(algebra)
         assert sum(j_series(lf).r_k for lf in factors) == algebra.dim
+
+
+def test_minimal_polynomial_failed_solve_is_invariant_violation(monkeypatch):
+    import ringlab.artinian as artinian
+
+    monkeypatch.setattr(artinian, "solve", lambda m, b: None)
+    with pytest.raises(InvariantViolation, match="minimal polynomial"):
+        Q_X2.minimal_polynomial((0, 1))
+
+
+def test_hensel_failed_solve_is_invariant_violation(monkeypatch):
+    import ringlab.artinian as artinian
+
+    lf = local_decomposition(Q_T2_MINUS_2_SQ)[0]
+    monkeypatch.setattr(artinian, "solve", lambda m, b: None)
+    with pytest.raises(InvariantViolation, match="Hensel lifting"):
+        field_of_representatives(lf)

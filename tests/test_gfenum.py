@@ -71,3 +71,17 @@ def test_pack_rows_refuses_keys_past_int64():
     assert int(gfenum.pack_rows(top, 7)[0]) == 7**22 - 1
     with pytest.raises(EnumerationTooLarge):
         gfenum.pack_rows(np.zeros((1, 23), dtype=np.int16), 7)
+
+
+def test_unique_rows_keeps_first_occurrences_past_one_chunk():
+    p = 7
+    rng = random.Random(8)
+    # repeats drawn from a pool of 30000 rows, so first occurrences reach far
+    # past the first 2^16 rows
+    pool = random_rows(rng, p, 30000, 6)
+    rows = [rng.choice(pool) for _ in range((1 << 16) + 20000)]
+    expected = {}
+    for row in rows:
+        expected.setdefault(row, None)
+    unique = gfenum.unique_rows(np.array(rows, dtype=np.int16), p)
+    assert as_tuples(unique) == list(expected)

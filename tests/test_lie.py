@@ -5,7 +5,7 @@ import pytest
 
 from ringlab.bilinear import field_carrier
 from ringlab.domains import Extension, QQ
-from ringlab.errors import AlgebraMismatch, NotLie, NotNilpotent
+from ringlab.errors import AlgebraMismatch, InvariantViolation, NotLie, NotNilpotent
 from ringlab.lie import (
     GroupElement,
     _dynkin_terms,
@@ -180,6 +180,18 @@ def test_hall_table_known_coefficients():
     assert table[("y", ("x", ("x", "y")))] == Fraction(-1, 24)
     assert table[("x", ("x", ("x", "y")))] == 0
     assert table[("y", ("y", ("x", "y")))] == 0
+
+
+def test_hall_table_failed_solve_is_invariant_violation(monkeypatch):
+    import ringlab.linalg as linalg
+
+    bch_hall_table.cache_clear()
+    monkeypatch.setattr(linalg, "solve", lambda m, b: None)
+    try:
+        with pytest.raises(InvariantViolation, match="Hall expansion system"):
+            bch_hall_table(3)
+    finally:
+        bch_hall_table.cache_clear()
 
 
 def test_hall_table_path_agrees_with_dynkin():

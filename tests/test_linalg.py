@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlab.domains import PrimeField, QQ, ZZ
+from ringlab.domains import Extension, PrimeField, QQ, ZZ
 from ringlab.errors import NonFieldDomain
 from ringlab.linalg import (
     Matrix,
@@ -217,3 +217,137 @@ def test_solve_roundtrip_rational(rows, cols, data):
     res = solve(m, b)
     assert res is not None
     assert m.apply(res[0]) == b
+
+
+# -- the row kernel against a dense reference elimination ------------------
+
+SQRT2 = Extension(QQ, [-2, 0, 1])
+KERNEL_DOMAINS = [PrimeField(2), PrimeField(7), QQ, SQRT2]
+
+
+def reference_rref(d, rows, ncols):
+    """Dense Gauss-Jordan from add, mul and inv alone: every row operation
+    runs over every column, and zero tests compare against from_int(0)."""
+    zero, minus_one = d.from_int(0), d.from_int(-1)
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        sel = next((r for r in range(top, len(rows)) if rows[r][col] != zero), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        inv = d.inv(rows[top][col])
+        rows[top] = [d.mul(inv, x) for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top:
+                f = d.mul(minus_one, rows[r][col])
+                rows[r] = [d.add(x, d.mul(f, y)) for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, tuple(pivots)
+
+
+def reference_kernel(d, reduced, pivots, ncols):
+    """The kernel vectors read off a reduced form, one per free column."""
+    zero, one, minus_one = d.from_int(0), d.from_int(1), d.from_int(-1)
+    out = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [zero] * ncols
+            vec[fc] = one
+            for r, pc in enumerate(pivots):
+                vec[pc] = d.mul(minus_one, reduced[r][fc])
+            out.append(tuple(vec))
+    return out
+
+
+def q_value(n, den):
+    """A Q domain value: an int when integral, else a Fraction."""
+    c = Fraction(n, den)
+    return c.numerator if c.denominator == 1 else c
+
+
+def entry_strategy(d):
+    if isinstance(d, PrimeField):
+        return st.integers(0, d.p - 1)
+    q = st.builds(q_value, st.integers(-4, 4), st.integers(1, 4))
+    if d == QQ:
+        return q
+    return st.tuples(q, q)
+
+
+@st.composite
+def matrices_with_rhs(draw, d):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    zero = d.from_int(0)
+    cell = st.one_of(st.just(zero), entry_strategy(d))
+    entries = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    # zero out some rows and some columns outright
+    for r in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
+        if r < rows:
+            entries[r] = [zero] * cols
+    for c in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)):
+        for row in entries:
+            if c < cols:
+                row[c] = zero
+    m = Matrix.from_rows(d, entries) if rows else Matrix(d, 0, cols, ())
+    if draw(st.booleans()):
+        b = m.apply(tuple(draw(cell) for _ in range(cols)))  # consistent
+    else:
+        b = tuple(draw(cell) for _ in range(rows))
+    return m, b
+
+
+def assert_q_normal(values):
+    for v in values:
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
+
+
+@pytest.mark.parametrize("d", KERNEL_DOMAINS, ids=str)
+def test_row_kernel_matches_dense_reference(d):
+    @settings(max_examples=150, deadline=None)
+    @given(matrices_with_rhs(d))
+    def check(case):
+        check_against_reference(d, *case)
+
+    check()
+
+
+def test_row_kernel_keeps_integral_rationals_as_ints():
+    # 1/2 - (1/2)*1 and 1 - 2*(1/2) are integral results of Fraction arithmetic
+    half = Fraction(1, 2)
+    for rows in ([[half, 1], [half, 0]], [[2, 1, half], [1, half, 3]], [[half, half], [1, 3]]):
+        m = Matrix.from_rows(QQ, rows)
+        check_against_reference(QQ, m, (1, half))
+
+
+def check_against_reference(d, m, b):
+    reduced, pivots, rk = rref(m)
+    ref_rows, ref_pivots = reference_rref(d, [m.row(i) for i in range(m.rows)], m.cols)
+    assert [list(reduced.row(i)) for i in range(reduced.rows)] == ref_rows
+    assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
+    assert pivots == ref_pivots and rk == len(ref_pivots)
+
+    kern = kernel_basis(m)
+    ref_kern = reference_kernel(d, ref_rows, ref_pivots, m.cols)
+    assert (kern.rows, kern.cols) == (m.cols, len(ref_kern))
+    assert [kern.col(j) for j in range(kern.cols)] == ref_kern
+
+    res = solve(m, b)
+    aug_rows, aug_pivots = reference_rref(
+        d, [m.row(i) + (b[i],) for i in range(m.rows)], m.cols + 1
+    )
+    if m.cols in aug_pivots:
+        assert res is None
+    else:
+        x, solve_kern = res
+        ref_x = [d.from_int(0)] * m.cols
+        for r, pc in enumerate(aug_pivots):
+            ref_x[pc] = aug_rows[r][m.cols]
+        assert list(x) == ref_x and m.apply(x) == tuple(b)
+        assert solve_kern == kern
+    if d == QQ:
+        assert_q_normal(reduced.entries)
+        assert_q_normal(kern.entries)
+        if res is not None:
+            assert_q_normal(res[0])
