@@ -4,6 +4,9 @@ A Domain supplies arithmetic on plain Python values: for the rationals an
 int when the value is integral and a Fraction otherwise, int for integers /
 prime fields / residue rings, and tuples of base-field values for simple
 algebraic extensions.  Every operation is exact; nothing here ever rounds.
+Besides the element operations, each domain has one in-place row kernel,
+add_scaled (acc[j] += c * row[j]), that elimination and every sparse
+accumulation run through; Q, GF(p) and Z inline its arithmetic.
 
 Domains are immutable and hashable, so any value may be shared freely
 across threads.
@@ -72,8 +75,7 @@ class Domain:
         return self.sub(a, b) == self.zero()
 
     def add_scaled(self, acc, c, row, cols):
-        """acc[j] += c * row[j] for each j in cols, in place on the list acc:
-        the row kernel of elimination, inlined by the number domains."""
+        """acc[j] += c * row[j] for each j in cols, in place on the list acc."""
         add, mul = self.add, self.mul
         for j in cols:
             acc[j] = add(acc[j], mul(c, row[j]))

@@ -170,7 +170,8 @@ def _ad_rows(tensor, d, x):
     for i, xi in enumerate(x):
         if not d.is_zero(xi):
             for j, entry in enumerate(tensor[i]):
-                d.add_scaled(cols[j], xi, entry, range(n))
+                support = [t for t, e in enumerate(entry) if not d.is_zero(e)]
+                d.add_scaled(cols[j], xi, entry, support)
     return [
         [(j, col[t]) for j, col in enumerate(cols) if not d.is_zero(col[t])]
         for t in range(n)

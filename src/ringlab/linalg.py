@@ -2,9 +2,11 @@
 normal forms over the coefficient domains.
 
 Matrices are immutable row-major tuples; all routines are pure functions.
-Field routines (rref, kernel_basis, solve) require a field domain; the
-integer routines (smith_normal_form, hermite and the integer solve/kernel)
-require INTEGERS.
+Field routines (rref, kernel_basis, solve) require a field domain and run
+every row operation through the domain's add_scaled kernel; solve reads its
+kernel off its reduction of [m | b], whose first m.cols columns are the
+reduced form of m.  The integer routines (smith_normal_form, hermite and the
+integer solve/kernel) require INTEGERS.
 """
 
 from __future__ import annotations
@@ -154,10 +156,7 @@ class Matrix:
 
 def rref(m: Matrix):
     """Reduced row-echelon form over a field: (matrix, pivot columns, rank).
-
-    Each step runs the domain's add_scaled row kernel over the pivot row's
-    nonzero columns only; left of the pivot column that row is zero.
-    """
+    Each row update runs over the pivot row's nonzero columns, all at or past col."""
     require_field(m.domain, "rref")
     d = m.domain
     rows = m.row_list()
@@ -185,8 +184,7 @@ def rank(m: Matrix) -> int:
 
 
 def _kernel_from(reduced: Matrix, pivots, cols: int) -> Matrix:
-    """Kernel columns of the first cols columns of a reduced echelon form
-    whose pivots all lie in those columns."""
+    """Kernel columns of a reduced form's first cols columns, which hold every pivot."""
     d = reduced.domain
     basis = []
     for fc in (j for j in range(cols) if j not in pivots):
@@ -207,8 +205,7 @@ def kernel_basis(m: Matrix) -> Matrix:
 def solve(m: Matrix, b):
     """Particular solution of m.x = b plus a kernel basis, or None.
 
-    b is a coordinate sequence of length m.rows.  One reduction of [m | b]
-    gives both: its first m.cols columns are the reduced form of m.
+    b is a coordinate sequence of length m.rows.
     """
     require_field(m.domain, "solve")
     if len(b) != m.rows:
