@@ -5,8 +5,12 @@ The five packaged fixtures run with `--format json` and with
 `ringbench/workloads.py`, copied under `golden/inputs/`) run with
 `--format json`.  `malcev mul`, `comm` and `pow` run on the malcev-q top
 rung h3x3+q, and the q-x2-2-squared fixture is re-read with
-`--extension=1,0,1` as json and as text.  Expected bytes live in
-`golden/expected/`.
+`--extension=1,0,1` as json and as text.  Two hand-written inputs pin
+what a failed certificate prints: `malcev mul` on nonlie-q (antisymmetric,
+Jacobi fails first at basis triple (1, 2, 3)) exits 2 with the witness on
+stderr, and `analyze` on nonassoc-q reports `associative: false`.
+Expected bytes live in `golden/expected/`; a case with a nonzero exit code
+also pins its stderr in `<expected>.stderr`.
 
 To record them again, on a tree whose reports are known good:
 
@@ -72,12 +76,27 @@ CASES = (
     ]
     + [
         (
+            "malcev-mul-nonlie-q.json",
+            ["malcev", "mul", _input("nonlie-q"), "(1,0,0,0,0)", "(0,1,0,0,0)", "--format", "json"],
+        ),
+        ("nonassoc-q.json", ["analyze", _input("nonassoc-q"), "--format", "json"]),
+    ]
+    + [
+        (
             f"q-x2-2-squared-ext.{ext}",
             ["analyze", _fixture("q-x2-2-squared"), "--extension=1,0,1", "--format", fmt],
         )
         for ext, fmt in (("json", "json"), ("txt", "text"))
     ]
 )
+
+# expected file -> exit code, for the cases that stop with an error
+FAILING = {"malcev-mul-nonlie-q.json": 2}
+
+
+def _expected(name):
+    with open(os.path.join(EXPECTED, name), encoding="utf-8", newline="") as f:
+        return f.read()
 
 
 def _run(argv):
@@ -90,9 +109,9 @@ def _run(argv):
 @pytest.mark.parametrize("expected, argv", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes(expected, argv):
     code, out, err = _run(argv)
-    assert (code, err) == (0, "")
-    with open(os.path.join(EXPECTED, expected), encoding="utf-8", newline="") as f:
-        assert out == f.read()
+    want = FAILING.get(expected, 0)
+    assert (code, err) == (want, _expected(expected + ".stderr") if want else "")
+    assert out == _expected(expected)
 
 
 def _record():
@@ -113,10 +132,12 @@ def _record():
             )
     for expected, argv in CASES:
         code, out, err = _run(argv)
-        if code or err:
+        if code != FAILING.get(expected, 0) or (err and not code):
             raise SystemExit(f"{expected}: exit {code}: {err}")
-        with open(os.path.join(EXPECTED, expected), "w", encoding="utf-8", newline="") as f:
-            f.write(out)
+        files = {expected: out, **({expected + ".stderr": err} if code else {})}
+        for name, text in files.items():
+            with open(os.path.join(EXPECTED, name), "w", encoding="utf-8", newline="") as f:
+                f.write(text)
 
 
 if __name__ == "__main__":
