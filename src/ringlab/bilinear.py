@@ -6,6 +6,9 @@ space over an exact field, a finitely generated Z-module given by a
 formal summand list, or a mixed divisible-plus-torsion formal sum.  The
 general case M1 != M2 is not modeled; maps are f: M x M -> N presented by
 a structure tensor tensor[i][j] = f(b_i, b_j) in N-coordinates.
+BilinearMap builds support[i][j], the nonzero (t, c) of each entry, once;
+evaluate and combine, the ring certificates in rings, the bilinearity
+certificate in scalars and lie's ad rows read it, not the dense tensor.
 """
 
 from __future__ import annotations
@@ -133,6 +136,18 @@ class BilinearMap:
             raise DimensionMismatch("tensor shape must be dim(M) x dim(M)")
         object.__setattr__(self, "tensor", tensor)
         self._validate_cross_structure()
+        # support[i][j]: the (t, c) with c = f(b_i, b_j)_t nonzero; built
+        # once, not a field, so ==, hash and repr see only the tensor
+        nonzero = (
+            (lambda c, z=self.n.domain.is_zero: not z(c))
+            if self.n.kind == FIELD
+            else (lambda c: c != 0)
+        )
+        support = tuple(
+            tuple(tuple((t, c) for t, c in enumerate(e) if nonzero(c)) for e in row)
+            for row in tensor
+        )
+        object.__setattr__(self, "support", support)
 
     def _validate_cross_structure(self):
         """Torsion and divisibility constraints forced by Z-bilinearity.
@@ -173,36 +188,38 @@ class BilinearMap:
                                     "has non-divisible support"
                                 )
 
+    def _arith(self):
+        """(zero, is_zero, add, mul): the field's, or exact int/Fraction
+        arithmetic that N reduces at the end."""
+        if self.m.kind == FIELD:
+            d = self.m.domain
+            return d.zero(), d.is_zero, d.add, d.mul
+        return 0, (lambda c: c == 0), operator.add, operator.mul
+
+    def combine(self, terms):
+        """The sum of c * f(b_i, b_j) over the (c, i, j) in terms, read off
+        the nonzero coordinates in support and reduced in N."""
+        zero, _, add, mul = self._arith()
+        acc = [zero] * self.n.dim
+        support = self.support
+        for c, i, j in terms:
+            for t, e in support[i][j]:
+                acc[t] = add(acc[t], mul(c, e))
+        return self.n.reduce(tuple(acc))
+
     def evaluate(self, x, y):
         x = self.m.reduce(x)
         y = self.m.reduce(y)
-        if self.m.kind == FIELD:
-            d = self.m.domain
-            acc = list(self.n.zero())
-            for i, xi in enumerate(x):
-                if d.is_zero(xi):
-                    continue
-                for j, yj in enumerate(y):
-                    if d.is_zero(yj):
-                        continue
-                    d.add_scaled(acc, d.mul(xi, yj), self.tensor[i][j], range(self.n.dim))
-            return self.n.reduce(tuple(acc))
-        # int/Fraction coordinates: accumulate exactly, reduce mod orders at
-        # the end; zero tensor coordinates are skipped so Fraction scalars
-        # never touch cyclic coordinates
-        acc = [0] * self.n.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                entry = self.tensor[i][j]
-                for t in range(self.n.dim):
-                    if entry[t] != 0:
-                        acc[t] = acc[t] + c * entry[t]
-        return self.n.reduce(tuple(acc))
+        # zero coordinates are skipped, so Fraction scalars never touch
+        # cyclic coordinates
+        _, is_zero, _, mul = self._arith()
+        return self.combine(
+            (mul(xi, yj), i, j)
+            for i, xi in enumerate(x)
+            if not is_zero(xi)
+            for j, yj in enumerate(y)
+            if not is_zero(yj)
+        )
 
     def entries(self):
         for i in range(self.m.dim):

@@ -162,16 +162,16 @@ def _dynkin_trie(c: int, d):
     return freeze(root)
 
 
-def _ad_rows(tensor, d, x):
-    """ad_x read off the structure tensor as sparse rows: row t lists the
-    pairs (j, [x, e_j]_t) whose entry is nonzero."""
+def _ad_rows(f, d, x):
+    """ad_x read off the nonzero structure coordinates f.support as sparse
+    rows: row t lists the pairs (j, [x, e_j]_t) whose entry is nonzero."""
     n = len(x)
     cols = [[d.zero()] * n for _ in range(n)]
     for i, xi in enumerate(x):
         if not d.is_zero(xi):
-            for j, entry in enumerate(tensor[i]):
-                support = [t for t, e in enumerate(entry) if not d.is_zero(e)]
-                d.add_scaled(cols[j], xi, entry, support)
+            for col, pairs in zip(cols, f.support[i]):
+                for t, e in pairs:
+                    col[t] = d.add(col[t], d.mul(xi, e))
     return [
         [(j, col[t]) for j, col in enumerate(cols) if not d.is_zero(col[t])]
         for t in range(n)
@@ -190,7 +190,7 @@ def bch(l: NilpotentLieAlgebra, x, y, max_class: int | None = None):
         raise ClassTooLarge(f"class {c} exceeds the BCH cap {cap}")
     d = l.domain
     args = (l.ring.carrier.reduce(x), l.ring.carrier.reduce(y))
-    ads = [_ad_rows(l.ring.as_bilinear().tensor, d, a) for a in args]
+    ads = [_ad_rows(l.ring.as_bilinear(), d, a) for a in args]
     zero = d.zero()
     acc = [zero] * l.dim
     stack = [(node, args[letter]) for letter, node in _dynkin_trie(c, d)]

@@ -4,6 +4,10 @@ foundations and additions, the characteristic-zero and bounded
 decomposition pipelines, mixed central splitting, model construction by
 base change, and the categoricity verdict.
 
+Every RingPresentation certifies itself in full when it is built: its
+associativity, commutativity and Lie (antisymmetry and Jacobi) walks sum
+over the nonzero structure coordinates BilinearMap.support.
+
 Component enrichment: the k_i-action on an indecomposable component is
 realized inside its centroid (endomorphisms X with X(xy) = (Xx)y =
 x(Xy)), which is a local commutative algebra for the components produced
@@ -46,6 +50,7 @@ from .errors import (
     DegenerateInput,
     EnumerationTooLarge,
     ExtensionNotOverK0,
+    InvariantViolation,
     NoSplit,
     UnsupportedDomain,
     ValidationError,
@@ -110,21 +115,23 @@ class RingPresentation:
         return self._bilinear.evaluate(x, y)
 
     def _check_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if not self.carrier.eq(self.tensor[i][j], self.tensor[j][i]):
-                    return False
-        return True
+        # entries are canonical, so equal nonzero coordinates mean equal
+        s = self._bilinear.support
+        return all(s[i][j] == s[j][i] for i in range(self.dim) for j in range(i))
 
     def _check_associative(self) -> bool:
-        basis = self._basis()
+        """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple, each side a
+        sum over the nonzero coordinates of one product."""
         f = self._bilinear
-        for x in basis:
-            for y in basis:
-                xy = f.evaluate(x, y)
-                for z in basis:
-                    if not self.carrier.eq(
-                        f.evaluate(xy, z), f.evaluate(x, f.evaluate(y, z))
+        s, n = f.support, self.dim
+        for i in range(n):
+            for j in range(n):
+                sij = s[i][j]
+                for k in range(n):
+                    left = [(c, t, k) for t, c in sij]
+                    right = [(c, i, t) for t, c in s[j][k]]
+                    if (left or right) and not self.carrier.eq(
+                        f.combine(left), f.combine(right)
                     ):
                         return False
         return True
@@ -133,26 +140,23 @@ class RingPresentation:
         """The first basis pair (i, j) with b_i b_i != 0 or b_i b_j != -b_j b_i,
         else the first basis triple (i, j, k) that breaks Jacobi; None for a
         Lie ring."""
-        basis = self._basis()
         f = self._bilinear
         c = self.carrier
-        for i, x in enumerate(basis):
-            if not c.is_zero(f.evaluate(x, x)):
+        s, t, n = f.support, self.tensor, self.dim
+        for i in range(n):
+            if s[i][i]:
                 return (i, i)
-            for j, y in enumerate(basis):
-                if not c.is_zero(c.add(f.evaluate(x, y), f.evaluate(y, x))):
+            for j in range(n):
+                if not c.is_zero(c.add(t[i][j], t[j][i])):
                     return (i, j)
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                for k, z in enumerate(basis):
-                    jac = c.add(
-                        f.evaluate(x, f.evaluate(y, z)),
-                        c.add(
-                            f.evaluate(y, f.evaluate(z, x)),
-                            f.evaluate(z, f.evaluate(x, y)),
-                        ),
-                    )
-                    if not c.is_zero(jac):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    # b_i(b_j b_k) + b_j(b_k b_i) + b_k(b_i b_j)
+                    jac = [(e, i, u) for u, e in s[j][k]]
+                    jac += [(e, j, u) for u, e in s[k][i]]
+                    jac += [(e, k, u) for u, e in s[i][j]]
+                    if jac and not c.is_zero(f.combine(jac)):
                         return (i, j, k)
         return None
 
@@ -668,6 +672,17 @@ class RingDecomposition:
         return tuple(out)
 
 
+def _annihilate(r: RingPresentation, row_sets) -> bool:
+    """x y = 0, exactly, for x and y rows of two different sets."""
+    f = r.as_bilinear()
+    return all(
+        r.carrier.is_zero(f.evaluate(x, y))
+        for a, b in itertools.permutations(row_sets, 2)
+        for x in a
+        for y in b
+    )
+
+
 def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
     """The characteristic-zero pipeline: foundation/addition, A(R), local
     decomposition, idempotent pullback, residue enrichment, r_k data."""
@@ -725,16 +740,14 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
         d_part = rows_through(d_rows, scalar.quotient_rows, rf.carrier)
         comp_rows_rf = list(s_part) + list(d_part)
         if len(canonical_span_rows(d, comp_rows_rf, rf.dim)) != len(comp_rows_rf):
-            raise RuntimeError("component basis is not independent")
+            raise InvariantViolation("component independence check: the component basis is dependent")
         comp_ring = ring_on_rows(rf, comp_rows_rf)
         rows_ambient = rows_through(comp_rows_rf, split.foundation_rows, r.carrier)
         enrichment = component_enrichment(comp_ring, seed)
         if enrichment.residue_degree != lf.residue_degree:
-            raise RuntimeError(
-                "centroid residue degree disagrees with the scalar ring's"
-            )
+            raise InvariantViolation("residue degree check: the centroid's disagrees with A(R)'s")
         if comp_ring.dim % lf.residue_degree:
-            raise RuntimeError("component dimension not divisible by residue degree")
+            raise InvariantViolation("component dimension check: not divisible by the residue degree")
         components.append(
             RingComponent(
                 ring=comp_ring,
@@ -748,16 +761,9 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
         )
         total += comp_ring.dim
     if total != rf.dim:
-        raise RuntimeError("component dimensions do not fill the foundation")
-    # cross products vanish exactly
-    f = r.as_bilinear()
-    for i, a in enumerate(components):
-        for j, b in enumerate(components):
-            if i != j:
-                for x in a.rows:
-                    for y in b.rows:
-                        if not r.carrier.is_zero(f.evaluate(x, y)):
-                            raise RuntimeError("cross-component product is nonzero")
+        raise InvariantViolation("foundation fill check: the component dimensions do not add up to it")
+    if not _annihilate(r, [c.rows for c in components]):
+        raise InvariantViolation("cross-component product check: a product is nonzero")
     return RingDecomposition(
         components=tuple(components),
         addition=split.addition,
@@ -853,16 +859,8 @@ def decompose_bounded(r: RingPresentation, seed: int = 0) -> CentralProductRepor
                 residue_degree=lf.residue_degree,
             )
         )
-    f = r.as_bilinear()
-    for i, a in enumerate(components):
-        for j, b in enumerate(components):
-            if i != j:
-                for x in a.rows:
-                    for y in b.rows:
-                        if not r.carrier.is_zero(f.evaluate(x, y)):
-                            raise RuntimeError(
-                                "central factors fail mutual annihilation"
-                            )
+    if not _annihilate(r, [c.rows for c in components]):
+        raise InvariantViolation("mutual annihilation check: two central factors do not annihilate")
     return CentralProductReport(tuple(components), scalar, tuple(ann))
 
 

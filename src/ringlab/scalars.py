@@ -329,21 +329,22 @@ def _certify_bilinearity(f: BilinearMap, report: ScalarRingReport) -> bool:
     d = f.m.domain
     n = f.m.dim
     for idx, a in enumerate(report.algebra.basis):
+        # A b_i = sum of c b_l over the nonzero entries (c, l) of column i
+        cols = [
+            [(a.get(l, i), l) for l in range(n) if not d.is_zero(a.get(l, i))]
+            for i in range(n)
+        ]
         for i in range(n):
-            ai = [a.get(l, i) for l in range(n)]
             for j in range(n):
-                aj = [a.get(l, j) for l in range(n)]
-                left = [d.zero()] * f.n.dim
-                right = [d.zero()] * f.n.dim
-                for l in range(n):
-                    if not d.is_zero(ai[l]):
-                        d.add_scaled(left, ai[l], f.tensor[l][j], range(f.n.dim))
-                    if not d.is_zero(aj[l]):
-                        d.add_scaled(right, aj[l], f.tensor[i][l], range(f.n.dim))
-                scaled = _apply_action_in_n(report, idx, f.tensor[i][j], d, f.n.dim)
+                left = f.combine((c, l, j) for c, l in cols[i])
+                right = f.combine((c, i, l) for c, l in cols[j])
+                if not f.support[i][j]:
+                    scaled = f.n.zero()
+                else:
+                    scaled = _apply_action_in_n(report, idx, f.tensor[i][j], d, f.n.dim)
                 if scaled is None:
                     return False
-                if tuple(left) != tuple(right) or tuple(left) != scaled:
+                if left != right or left != scaled:
                     return False
     return True
 

@@ -321,3 +321,16 @@ def test_a_failed_certificate_is_a_pipeline_error(monkeypatch):
         "ringlab: pipeline error at stage 'group_decompose': "
         "A(R) bilinearity certificate failed\n"
     )
+
+
+def test_a_failed_decomposition_check_is_a_pipeline_error(monkeypatch):
+    from ringlab import rings
+
+    real = rings._annihilate
+    monkeypatch.setattr(rings, "_annihilate", lambda r, sets: real(r, list(sets) + list(sets[:1])))
+    code, out, err = run_cli("analyze", fixture_path("h3"))
+    assert code == 2 and not out
+    assert err == (
+        "ringlab: pipeline error at stage 'group_decompose': "
+        "cross-component product check: a product is nonzero\n"
+    )

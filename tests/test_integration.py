@@ -252,6 +252,17 @@ def _child_pythonpath():
     return os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
 
 
+def _child_env(**extra):
+    """PATH, the PYTHONPATH above and extra, plus PYTHONDONTWRITEBYTECODE
+    when it is set, so that a child writes no bytecode the run would not."""
+    import os
+
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": _child_pythonpath(), **extra}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 def test_determinism_across_hash_seeds():
     import json
     import subprocess
@@ -259,10 +270,9 @@ def test_determinism_across_hash_seeds():
     from importlib import resources
 
     path = str(resources.files("ringlab.fixtures").joinpath("h3-plus-abelian.json"))
-    pythonpath = _child_pythonpath()
     outputs = []
     for seed in ("0", "1", "424242"):
-        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
+        env = _child_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "ringlab.cli", "analyze", path, "--format", "json"],
             capture_output=True,
@@ -289,8 +299,7 @@ def test_cli_and_analyze_leave_numpy_unloaded():
         f"assert ringlab.cli.main(['analyze', {path!r}, '--format', 'json']) == 0\n"
         "assert 'numpy' not in sys.modules, 'analyze loaded numpy'\n"
     )
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": _child_pythonpath()}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
 
 def filiform(dim):

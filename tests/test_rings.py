@@ -8,6 +8,7 @@ from ringlab.bilinear import field_carrier, module_carrier
 from ringlab.domains import Extension, PrimeField, QQ
 from ringlab.errors import (
     ExtensionNotOverK0,
+    InvariantViolation,
     NoSplit,
     ValidationError,
 )
@@ -334,6 +335,92 @@ def test_component_scalar_ring_is_local():
         scal = largest_scalar_action(comp.ring.as_bilinear(), ann, sq)
         alg = endo_commutative_algebra(scal.algebra)
         assert len(local_decomposition(alg)) == 1
+
+
+# -- a failed decomposition check is an InvariantViolation naming the check ----
+
+
+def _patch_factors(monkeypatch, change):
+    """change the local factors of A(R), not those of a component centroid"""
+    import sys
+
+    from ringlab import rings
+
+    real = rings.local_decomposition
+
+    def patched(alg, seed=0):
+        factors = real(alg, seed)
+        return factors if sys._getframe(1).f_code.co_name == "component_enrichment" else change(factors)
+
+    monkeypatch.setattr(rings, "local_decomposition", patched)
+
+
+def _patch_residue_degree(monkeypatch, degree):
+    from dataclasses import replace
+
+    from ringlab import rings
+
+    real = rings.component_enrichment
+    monkeypatch.setattr(
+        rings,
+        "component_enrichment",
+        lambda ring, seed=0: replace(real(ring, seed), residue_degree=degree),
+    )
+
+
+def test_dependent_component_basis_is_an_invariant_violation(monkeypatch):
+    import sys
+
+    from ringlab import rings
+
+    real = rings.canonical_span_rows
+
+    def lossy(d, vectors, width):
+        rows = real(d, vectors, width)
+        # lose a row only where decompose_char0 checks its component basis
+        return rows[:-1] if sys._getframe(1).f_locals.get("comp_rows_rf") is vectors else rows
+
+    monkeypatch.setattr(rings, "canonical_span_rows", lossy)
+    with pytest.raises(InvariantViolation, match="^component independence check: "):
+        decompose_char0(heisenberg())
+
+
+def test_disagreeing_residue_degree_is_an_invariant_violation(monkeypatch):
+    _patch_residue_degree(monkeypatch, 2)
+    with pytest.raises(InvariantViolation, match="^residue degree check: "):
+        decompose_char0(heisenberg())
+
+
+def test_indivisible_component_dimension_is_an_invariant_violation(monkeypatch):
+    from dataclasses import replace
+
+    _patch_residue_degree(monkeypatch, 7)
+    _patch_factors(monkeypatch, lambda fs: [replace(lf, residue_degree=7) for lf in fs])
+    with pytest.raises(InvariantViolation, match="^component dimension check: "):
+        decompose_char0(heisenberg())
+
+
+def test_components_that_overfill_the_foundation_are_an_invariant_violation(monkeypatch):
+    _patch_factors(monkeypatch, lambda fs: list(fs) + [fs[0]])
+    with pytest.raises(InvariantViolation, match="^foundation fill check: "):
+        decompose_char0(heisenberg())
+
+
+def test_a_nonzero_cross_component_product_is_an_invariant_violation(monkeypatch):
+    from ringlab import rings
+
+    real = rings._annihilate
+    # the first component's rows again, as a component of their own
+    monkeypatch.setattr(rings, "_annihilate", lambda r, sets: real(r, list(sets) + list(sets[:1])))
+    with pytest.raises(InvariantViolation, match="^cross-component product check: "):
+        decompose_char0(heisenberg())
+
+
+def test_central_factors_that_do_not_annihilate_are_an_invariant_violation(monkeypatch):
+    _patch_factors(monkeypatch, lambda fs: list(fs) + [fs[0]])
+    r = gfring(3, 3, {(0, 1): (0, 0, 1), (1, 0): (0, 0, 2)})
+    with pytest.raises(InvariantViolation, match="^mutual annihilation check: "):
+        decompose_bounded(r)
 
 
 def test_central_split_mixed():
