@@ -6,6 +6,7 @@ space over an exact field, a finitely generated Z-module given by a
 formal summand list, or a mixed divisible-plus-torsion formal sum.  The
 general case M1 != M2 is not modeled; maps are f: M x M -> N presented by
 a structure tensor tensor[i][j] = f(b_i, b_j) in N-coordinates.
+
 BilinearMap builds support[i][j], the nonzero (t, c) of each entry, once;
 evaluate and combine, the ring certificates in rings, the bilinearity
 certificate in scalars and lie's ad rows read it, not the dense tensor.

@@ -350,7 +350,9 @@ def _patch_factors(monkeypatch, change):
 
     def patched(alg, seed=0):
         factors = real(alg, seed)
-        return factors if sys._getframe(1).f_code.co_name == "component_enrichment" else change(factors)
+        if sys._getframe(1).f_code.co_name == "component_enrichment":
+            return factors
+        return change(factors)
 
     monkeypatch.setattr(rings, "local_decomposition", patched)
 

@@ -37,7 +37,7 @@ def _lie(dim, brackets):
     return _tensor(dim, {**brackets, **{(j, i): (k, -c) for (i, j), (k, c) in brackets.items()}})
 
 
-# integer structure constants: (name, tensor[i][j][k])
+# integer structure constants tensor[i][j][k], by name
 BASES = {
     "h3": _lie(3, {(0, 1): (2, 1)}),
     "filiform4": _lie(4, {(0, 1): (2, 1), (0, 2): (3, 1)}),
@@ -62,15 +62,12 @@ def _values(d):
     return q if d == QQ else st.tuples(q, q)
 
 
-def _lift(d, c):
-    return d.from_int(c) if isinstance(c, int) else c
-
-
 @st.composite
 def _block(draw, values, mul, from_int, zero):
     """A known algebra scaled by a unit and perturbed in a single entry,
     or in a pair of entries that keeps antisymmetry."""
-    t = [[[from_int(c) for c in e] for e in row] for row in draw(st.sampled_from(list(BASES.values())))]
+    base = draw(st.sampled_from(list(BASES.values())))
+    t = [[[from_int(c) for c in e] for e in row] for row in base]
     dim = len(t)
     unit = draw(values.filter(lambda v: v != zero))
     t = [[[mul(unit, c) for c in e] for e in row] for row in t]
@@ -85,11 +82,8 @@ def _block(draw, values, mul, from_int, zero):
 
 
 def _field_case(d):
-    values = _values(d)
-    return st.tuples(
-        st.just(d),
-        _block(values, d.mul, lambda c: _lift(d, c), d.zero()),
-    ).map(lambda c: (field_carrier(c[0], len(c[1])), c[1]))
+    block = _block(_values(d), d.mul, d.from_int, d.zero())
+    return block.map(lambda t: (field_carrier(d, len(t)), t))
 
 
 def _integer_case():
@@ -129,7 +123,8 @@ CASES = {
 def _coords(carrier):
     """Random coordinate vectors on the carrier."""
     if carrier.kind == FIELD:
-        return st.tuples(*[st.one_of(st.just(carrier.domain.zero()), _values(carrier.domain))] * carrier.dim)
+        value = st.one_of(st.just(carrier.domain.zero()), _values(carrier.domain))
+        return st.tuples(*[value] * carrier.dim)
     parts = [
         _values(QQ) if s.kind == RATIONAL else st.integers(-7, 7)
         for s in carrier.desc.summands
@@ -313,5 +308,6 @@ def test_the_drawn_rings_cover_every_flag():
     broken = RingPresentation(field_carrier(QQ, 3), _tensor(3, {(0, 1): (0, 1)}))
     assert (broken.lie, broken.associative) == (False, False)
     # antisymmetric but not Jacobi: the witness is a triple
-    jac = RingPresentation(field_carrier(QQ, 3), _lie(3, {(0, 1): (2, 1), (1, 2): (0, 1), (0, 2): (2, 1)}))
+    brackets = {(0, 1): (2, 1), (1, 2): (0, 1), (0, 2): (2, 1)}
+    jac = RingPresentation(field_carrier(QQ, 3), _lie(3, brackets))
     assert jac.lie_witness() == dense_lie_witness(jac) and len(jac.lie_witness()) == 3
