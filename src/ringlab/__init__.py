@@ -16,6 +16,7 @@ from .bilinear import (
     BilinearMap,
     BilinearSplit,
     Carrier,
+    Subspace,
     WidthReport,
     field_carrier,
     foundation_addition_split,

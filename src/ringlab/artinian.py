@@ -16,13 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bilinear import (
-    canonical_span_rows,
-    coords_in_rows,
-    field_carrier,
-    restrict,
-    rows_through,
-)
+from .bilinear import Subspace, field_carrier, restrict, rows_through
 from .domains import Domain, Extension, PrimeField, Rationals, poly_xgcd
 from .errors import (
     ActionNotWellFormed,
@@ -32,7 +26,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, kernel_basis, rref, solve
+from .linalg import Matrix, kernel_basis, solve
 from .polynomials import Poly, gcd as poly_gcd, poly_factor
 
 _PROBE_ROUNDS = 40
@@ -147,19 +141,14 @@ class CommutativeAlgebra:
 
     def minimal_polynomial(self, x) -> Poly:
         d = self.base
-        powers = [self.unit]
+        powers, power = [], self.unit
         while True:
-            rows = powers
-            reduced, _, rank = rref(Matrix.from_rows(d, rows))
-            if rank < len(rows):
-                # first linear dependence: solve for the last power
-                mat = Matrix.from_cols(d, powers[:-1])
-                res = solve(mat, powers[-1])
-                if res is None:
-                    raise InvariantViolation("minimal polynomial: dependent power not in the span")
-                coeffs = tuple(d.neg(c) for c in res[0]) + (d.one(),)
-                return Poly(d, coeffs)
-            powers.append(self.mult(powers[-1], x))
+            # the first power in the span of the ones before it
+            coords = Subspace.span(d, powers, self.dim).coords(power)
+            if coords is not None:
+                return Poly(d, tuple(d.neg(c) for c in coords) + (d.one(),))
+            powers.append(power)
+            power = self.mult(power, x)
 
     def is_zero_elem(self, x) -> bool:
         return all(self.base.is_zero(c) for c in x)
@@ -195,7 +184,7 @@ def radical(a: CommutativeAlgebra):
             rows.append(tuple(row))
         kern = kernel_basis(Matrix.from_rows(d, rows))
         cols = [kern.col(j) for j in range(kern.cols)]
-        return canonical_span_rows(d, cols, a.dim)
+        return list(Subspace.span(d, cols, a.dim).rows)
     if isinstance(d, PrimeField):
         p = d.p
         e = 1
@@ -209,7 +198,7 @@ def radical(a: CommutativeAlgebra):
             cols.append(x)
         kern = kernel_basis(Matrix.from_cols(d, cols))
         vecs = [kern.col(j) for j in range(kern.cols)]
-        return canonical_span_rows(d, vecs, a.dim)
+        return list(Subspace.span(d, vecs, a.dim).rows)
     raise UnsupportedDomain(
         f"radical over {d.describe()} is outside v1 (need Q, an extension of Q, or GF(p))"
     )
@@ -286,7 +275,7 @@ def _crt_idempotents(a: CommutativeAlgebra, u, factors):
         h = g.mul(Poly(d, s)).mod(m)
         e_elem = a.evaluate_poly(h, u)
         if a.mult(e_elem, e_elem) != e_elem:
-            raise RuntimeError("CRT idempotent failed exactness check")
+            raise InvariantViolation("CRT idempotent check: e * e != e")
         out.append(e_elem)
     return out
 
@@ -298,9 +287,9 @@ def _subalgebra_on(a: CommutativeAlgebra, idempotent):
     for i in range(a.dim):
         basis_i = tuple(d.one() if k == i else d.zero() for k in range(a.dim))
         cols.append(a.mult(idempotent, basis_i))
-    basis_rows = canonical_span_rows(d, cols, a.dim)
+    basis_rows = Subspace.span(d, cols, a.dim).rows
     tensor = restrict(a.mult, d, basis_rows, basis_rows)
-    unit_coords = coords_in_rows(d, basis_rows, idempotent)
+    unit_coords = Subspace.span(d, basis_rows, a.dim).coords(idempotent)
     block = CommutativeAlgebra(d, len(basis_rows), tensor, unit_coords)
     return block, basis_rows
 
@@ -392,7 +381,7 @@ def _radical_power_rows(a: CommutativeAlgebra, rad_rows):
         for x in current:
             for g in rad_rows:
                 next_products.append(a.mult(x, g))
-        current = canonical_span_rows(a.base, next_products, a.dim)
+        current = Subspace.span(a.base, next_products, a.dim).rows
     return powers
 
 
@@ -402,13 +391,13 @@ def _residue_projection(a: CommutativeAlgebra, u, minpoly: Poly, rad_rows):
     powers = [a.unit]
     for _ in range(deg - 1):
         powers.append(a.mult(powers[-1], u))
-    change = list(powers) + list(rad_rows)
+    change = Subspace.span(d, list(powers) + list(rad_rows), a.dim)
     rows = []
     for i in range(a.dim):
         basis_i = tuple(d.one() if k == i else d.zero() for k in range(a.dim))
-        coords = coords_in_rows(d, change, basis_i)
+        coords = change.coords(basis_i)
         if coords is None:
-            raise RuntimeError("residue powers plus radical do not span the factor")
+            raise InvariantViolation("residue basis check: powers and radical miss the factor")
         rows.append(coords[:deg])
     return Matrix.from_rows(d, rows).transpose()
 
@@ -453,7 +442,7 @@ def _primary_root(block: CommutativeAlgebra, m: Poly) -> Poly:
         return m.exact_div(poly_gcd(m, m.derivative())).monic()
     factors = poly_factor(m)
     if len(factors) != 1:
-        raise RuntimeError("block is not local after decomposition")
+        raise InvariantViolation("locality check: a block is not local after decomposition")
     return factors[0][0]
 
 
@@ -494,16 +483,16 @@ def _verify_complete_orthogonal(a: CommutativeAlgebra, idempotents):
     total = (d.zero(),) * a.dim
     for e in idempotents:
         if a.mult(e, e) != tuple(e):
-            raise RuntimeError("non-idempotent in decomposition")
+            raise InvariantViolation("idempotent check: a decomposition element is not idempotent")
         if a.is_zero_elem(e):
-            raise RuntimeError("zero idempotent in decomposition")
+            raise InvariantViolation("idempotent check: a decomposition idempotent is zero")
         total = tuple(d.add(x, y) for x, y in zip(total, e))
     if total != tuple(a.unit):
-        raise RuntimeError("idempotents do not sum to 1")
+        raise InvariantViolation("completeness check: the idempotents do not sum to 1")
     for i, e in enumerate(idempotents):
         for j, f in enumerate(idempotents):
             if i != j and not a.is_zero_elem(a.mult(e, f)):
-                raise RuntimeError("idempotents are not orthogonal")
+                raise InvariantViolation("orthogonality check: two idempotents do not annihilate")
 
 
 # -- J-series and r_k ----------------------------------------------------------
@@ -528,13 +517,13 @@ def j_series(lf: LocalFactor) -> JSeriesReport:
         ]
     ]
     powers.extend(list(rows) for rows in _radical_power_rows(block, lf.radical_rows))
-    dims = [len(canonical_span_rows(block.base, rows, block.dim)) for rows in powers]
+    dims = [len(Subspace.span(block.base, rows, block.dim).rows) for rows in powers]
     dims.append(0)
     layers = []
     for a, b in zip(dims, dims[1:]):
         diff = a - b
         if diff % lf.residue_degree:
-            raise RuntimeError("layer dimension not divisible by the residue degree")
+            raise InvariantViolation("J-series layer check: not divisible by the residue degree")
         layers.append(diff // lf.residue_degree)
     return JSeriesReport(tuple(layers), sum(layers))
 
@@ -576,24 +565,24 @@ def r_k_module(lf: LocalFactor, action) -> int:
                 mat = mat.add(action[k].scale(c))
             for v in space_rows:
                 out.append(mat.apply(v))
-        return canonical_span_rows(d, out, mdim)
+        return Subspace.span(d, out, mdim).rows
 
     current = [
         tuple(d.one() if k == i else d.zero() for k in range(mdim)) for i in range(mdim)
     ]
-    dims = [len(canonical_span_rows(d, current, mdim))]
+    dims = [len(Subspace.span(d, current, mdim).rows)]
     while True:
         current = act(lf.radical_rows, current)
         dims.append(len(current))
         if not current:
             break
         if len(dims) > block.dim + mdim + 2:
-            raise RuntimeError("J-filtration failed to terminate")
+            raise InvariantViolation("J-filtration check: the filtration did not terminate")
     total = 0
     for a, b in zip(dims, dims[1:]):
         diff = a - b
         if diff % lf.residue_degree:
-            raise RuntimeError("module layer not divisible by the residue degree")
+            raise InvariantViolation("module layer check: not divisible by the residue degree")
         total += diff // lf.residue_degree
     return total
 
@@ -632,12 +621,12 @@ def field_of_representatives(lf: LocalFactor) -> FieldOfRepresentatives:
         correction = block.mult(value, inv)
         s = tuple(d.sub(a, b) for a, b in zip(s, correction))
     else:
-        raise RuntimeError("Hensel lifting did not converge within the index bound")
+        raise InvariantViolation("Hensel convergence check: no root within the index bound")
     basis = [block.unit]
     for _ in range(lf.residue_degree - 1):
         basis.append(block.mult(basis[-1], s))
     # L  J = 0: the basis together with the radical must be independent
     stacked = list(basis) + list(lf.radical_rows)
-    if len(canonical_span_rows(d, stacked, block.dim)) != len(stacked):
-        raise RuntimeError("lifted subfield meets the radical")
+    if not Subspace.span(d, stacked, block.dim).independent:
+        raise InvariantViolation("subfield check: the lifted subfield meets the radical")
     return FieldOfRepresentatives(tuple(basis), tuple(s), f)

@@ -10,12 +10,17 @@ a structure tensor tensor[i][j] = f(b_i, b_j) in N-coordinates.
 BilinearMap builds support[i][j], the nonzero (t, c) of each entry, once;
 evaluate and combine, the ring certificates in rings, the bilinearity
 certificate in scalars and lie's ad rows read it, not the dense tensor.
+
+Subspace is the one echelon type over a field: every span, membership,
+coordinate, complement, intersection and greedy basis extension in
+ringlab goes through it, and only it runs rref on a span.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gfenum
 from .domains import Domain, PrimeField, QQ, Rationals, ZZ
@@ -26,7 +31,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, kernel_basis, kernel_basis_int, rank, rref, solve
+from .linalg import Matrix, inverse, kernel_basis, kernel_basis_int, rref
 from .modules import (
     CYCLIC,
     RATIONAL,
@@ -240,40 +245,110 @@ def _field_desc(carrier: Carrier) -> ModuleDesc | None:
     return None
 
 
-# -- canonical spans over a field ---------------------------------------------
+# -- subspaces over a field ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of domain^width spanned by basis, the caller's vectors in
+    order: rows are its reduced echelon basis, pivots their lead columns.
+    For an independent basis, coords(v) maps v read at the pivots to basis
+    through the inverse of basis's pivot-column block, computed once.
+    """
+
+    domain: Domain
+    width: int
+    rows: tuple
+    pivots: tuple
+    basis: tuple
+
+    @staticmethod
+    def span(domain: Domain, vectors, width: int) -> "Subspace":
+        basis = tuple(tuple(v) for v in vectors)
+        nonzero = [v for v in basis if not all(domain.is_zero(x) for x in v)]
+        if not nonzero:
+            return Subspace(domain, width, (), (), basis)
+        reduced, pivots, rank = rref(Matrix.from_rows(domain, nonzero))
+        return Subspace(domain, width, tuple(reduced.row(i) for i in range(rank)), pivots, basis)
+
+    @property
+    def independent(self) -> bool:
+        return len(self.rows) == len(self.basis)
+
+    def _echelon_coords(self, v):
+        """v read at the pivots, or None when those entries do not rebuild v."""
+        d = self.domain
+        at_pivots = [v[p] for p in self.pivots]
+        rest = list(v)
+        for c, row in zip(at_pivots, self.rows):
+            if not d.is_zero(c):
+                d.add_scaled(rest, d.neg(c), row, range(self.width))
+        return None if any(not d.is_zero(x) for x in rest) else at_pivots
+
+    def contains(self, v) -> bool:
+        return self._echelon_coords(v) is not None
+
+    @cached_property
+    def _to_basis(self):
+        """Columns of the inverse of basis's pivot-column block."""
+        if not self.independent:
+            raise ValidationError("coordinates need an independent basis")
+        block = [[b[p] for b in self.basis] for p in self.pivots]
+        inv = inverse(Matrix.from_rows(self.domain, block))
+        return [inv.col(s) for s in range(inv.cols)]
+
+    def coords(self, v):
+        """Coordinates of v in basis, or None."""
+        at_pivots = self._echelon_coords(v)
+        if at_pivots is None:
+            return None
+        d, acc = self.domain, [self.domain.zero()] * len(self.basis)
+        for c, col in zip(at_pivots, self._to_basis):
+            if not d.is_zero(c):
+                d.add_scaled(acc, c, col, range(len(acc)))
+        return tuple(acc)
+
+    def complement(self):
+        """The standard basis vectors at the non-pivot columns."""
+        d = self.domain
+        return [
+            tuple(d.one() if k == i else d.zero() for k in range(self.width))
+            for i in range(self.width)
+            if i not in self.pivots
+        ]
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """By Zassenhaus: in the echelon span of (u, u) for u in rows and
+        (w, 0) for w in other.rows, the rows led past the first half hold
+        the intersection in their second half."""
+        d, w = self.domain, self.width
+        both = [u + u for u in self.rows] + [x + (d.zero(),) * w for x in other.rows]
+        both = Subspace.span(d, both, 2 * w)
+        return Subspace.span(d, [r[w:] for r, p in zip(both.rows, both.pivots) if p >= w], w)
+
+    def extend(self, candidates):
+        """Indices of the candidates that enlarge the span, greedily in
+        order: the pivot columns past rows of [rows | candidates]^T."""
+        cols = list(self.rows) + [tuple(c) for c in candidates]
+        if not cols:
+            return []
+        _, pivots, _ = rref(Matrix.from_cols(self.domain, cols))
+        return [p - len(self.rows) for p in pivots[len(self.rows):]]
+
+
+# ringbench's trace spans wrap these three by name; ringlab itself calls Subspace
 
 
 def canonical_span_rows(domain: Domain, vectors, width: int):
-    """Echelonized basis (as rows) of the span of the given vectors."""
-    vectors = [tuple(v) for v in vectors if not all(domain.is_zero(x) for x in v)]
-    if not vectors:
-        return []
-    reduced, _, rank = rref(Matrix.from_rows(domain, vectors))
-    return [reduced.row(i) for i in range(rank)]
+    return list(Subspace.span(domain, vectors, width).rows)
 
 
 def complement_rows(domain: Domain, span_rows_, width: int):
-    """Standard basis vectors completing an echelonized span to the ambient."""
-    pivots = set()
-    if span_rows_:
-        _, piv, _ = rref(Matrix.from_rows(domain, span_rows_))
-        pivots = set(piv)
-    out = []
-    for i in range(width):
-        if i not in pivots:
-            out.append(
-                tuple(domain.one() if k == i else domain.zero() for k in range(width))
-            )
-    return out
+    return Subspace.span(domain, span_rows_, width).complement()
 
 
 def coords_in_rows(domain: Domain, rows, vec):
-    """Coordinates of vec in the given row basis, or None."""
-    if not rows:
-        return () if all(domain.is_zero(x) for x in vec) else None
-    mat = Matrix.from_cols(domain, rows)
-    res = solve(mat, tuple(vec))
-    return None if res is None else res[0]
+    return Subspace.span(domain, rows, len(vec)).coords(vec)
 
 
 def restrict(mult, domain: Domain, m_rows, n_rows):
@@ -282,12 +357,13 @@ def restrict(mult, domain: Domain, m_rows, n_rows):
     Entry [a][b] holds the coordinates of mult(m_rows[a], m_rows[b]) in
     n_rows; a product outside their span raises ValidationError.
     """
-    n_rows = list(n_rows)
+    # with no target rows only zero products have coordinates, at any width
+    target = Subspace.span(domain, n_rows, len(n_rows[0]) if n_rows else 0)
     tensor = []
     for x in m_rows:
         row = []
         for y in m_rows:
-            coords = coords_in_rows(domain, n_rows, mult(x, y))
+            coords = target.coords(mult(x, y))
             if coords is None:
                 raise ValidationError("a product left the span of the target rows")
             row.append(coords)
@@ -328,7 +404,7 @@ def _field_kernel(f: BilinearMap):
         ]
     kern = kernel_basis(Matrix.from_rows(d, rows))
     cols = [kern.col(j) for j in range(kern.cols)]
-    return canonical_span_rows(d, cols, f.m.dim)
+    return list(Subspace.span(d, cols, f.m.dim).rows)
 
 
 def _integer_kernel(f: BilinearMap):
@@ -390,7 +466,7 @@ def image_submodule(f: BilinearMap):
     """Canonical generators of <f(M, M)> inside N."""
     entries = [entry for _, entry in f.entries()]
     if f.n.kind == FIELD:
-        return canonical_span_rows(f.n.domain, entries, f.n.dim)
+        return list(Subspace.span(f.n.domain, entries, f.n.dim).rows)
     if f.n.kind == INTEGER:
         return submodule_canonical_gens(f.n.desc, entries)
     return _mixed_image(f)
@@ -502,8 +578,8 @@ def foundation_addition_split(f: BilinearMap) -> BilinearSplit:
     image_gens = image_submodule(f)
     if f.m.kind == FIELD:
         d = f.m.domain
-        m_found = complement_rows(d, kernel_gens, f.m.dim)
-        n_comp = complement_rows(d, image_gens, f.n.dim)
+        m_found = Subspace.span(d, kernel_gens, f.m.dim).complement()
+        n_comp = Subspace.span(d, image_gens, f.n.dim).complement()
         foundation = BilinearMap(
             field_carrier(d, len(m_found)),
             field_carrier(d, len(image_gens)),
@@ -576,9 +652,7 @@ def verify_reassembly(f: BilinearMap, blocks) -> bool:
     """
     if f.m.kind == FIELD:
         rows = [row for _, m_rows, _ in blocks for row in m_rows]
-        if len(rows) != f.m.dim or (
-            rows and rank(Matrix.from_rows(f.m.domain, rows)) != f.m.dim
-        ):
+        if len(rows) != f.m.dim or not Subspace.span(f.m.domain, rows, f.m.dim).independent:
             return False
     for i, (tensor, m_rows, n_rows) in enumerate(blocks):
         for j, (_, other_rows, _) in enumerate(blocks):
@@ -633,17 +707,9 @@ def width(f: BilinearMap, search_bound: int = 16) -> WidthReport:
 def _pivot_entry_certificates(f: BilinearMap):
     """Tensor entries forming a basis of im(f): each im-basis vector is a
     single product, so every element is a sum of dim-im products."""
-    d = f.n.domain
-    chosen = []
-    rows = []
-    for (i, j), entry in f.entries():
-        trial = rows + [entry]
-        if len(canonical_span_rows(d, trial, f.n.dim)) > len(
-            canonical_span_rows(d, rows, f.n.dim)
-        ):
-            rows.append(entry)
-            chosen.append((i, j))
-    return tuple(chosen)
+    pairs, entries = zip(*f.entries())
+    picked = Subspace.span(f.n.domain, (), f.n.dim).extend(entries)
+    return tuple(pairs[k] for k in picked)
 
 
 def _width_bfs(f: BilinearMap, image, search_bound: int) -> WidthReport:

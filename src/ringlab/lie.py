@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import factorial
 
-from .bilinear import canonical_span_rows, coords_in_rows
+from .bilinear import Subspace
 from .domains import QQ, Rationals
 from .errors import (
     AlgebraMismatch,
@@ -49,6 +49,12 @@ class NilpotentLieAlgebra:
     @property
     def domain(self):
         return self.ring.carrier.domain
+
+    @cached_property
+    def series_spaces(self):
+        """One Subspace per term of lower_central_series, then the zero one."""
+        terms = self.lower_central_series + ((),)
+        return tuple(Subspace.span(self.domain, rows, self.dim) for rows in terms)
 
     def bracket(self, x, y):
         return self.ring.mult(x, y)
@@ -80,14 +86,14 @@ def verify_nilpotent_lie(r: RingPresentation) -> NilpotentLieAlgebra:
         for x in basis:
             for g in current:
                 produced.append(r.mult(x, g))
-        nxt = canonical_span_rows(d, produced, r.dim)
+        nxt = Subspace.span(d, produced, r.dim).rows
         if not nxt:
             break
-        if len(nxt) == len(current) and nxt == list(current):
+        if nxt == tuple(current):
             raise NotNilpotent(
                 f"lower central series stabilizes at dimension {len(nxt)}"
             )
-        series.append(tuple(nxt))
+        series.append(nxt)
         current = nxt
     return NilpotentLieAlgebra(r, len(series), tuple(series))
 
@@ -280,12 +286,7 @@ def group_commutator(
         class2 = comm.log == tuple(bracket)
     else:
         diff = bch(l, comm.log, l.ring.carrier.neg(bracket), max_class)
-        l3 = l.lower_central_series[2] if len(l.lower_central_series) > 2 else ()
-        deviation = (
-            coords_in_rows(l.domain, list(l3), diff) is not None
-            if l3
-            else l.ring.carrier.is_zero(diff)
-        )
+        deviation = l.series_spaces[2].contains(diff)
     return CommutatorReport(comm, tuple(bracket), equivalence, class2, deviation)
 
 
@@ -322,6 +323,7 @@ def central_series_and_center(
 ) -> CorrespondenceReport:
     d = l.domain
     ann = annihilator(l.ring)
+    centre = Subspace.span(d, ann, l.dim)
     basis = [
         tuple(d.one() if k == i else d.zero() for k in range(l.dim))
         for i in range(l.dim)
@@ -335,7 +337,7 @@ def central_series_and_center(
                 centre_ok = False
     # a non-central log must fail to commute with some basis exp
     for b in basis:
-        if coords_in_rows(d, list(ann), b) is not None:
+        if centre.contains(b):
             continue
         gb = GroupElement(l, b)
         if all(
@@ -346,26 +348,18 @@ def central_series_and_center(
     closed_ok = True
     drop_ok = True
     for depth, rows in enumerate(l.lower_central_series):
-        rows = list(rows)
         for u in rows:
             for v in rows:
-                if coords_in_rows(d, rows, bch(l, u, v, max_class)) is None:
+                if not l.series_spaces[depth].contains(bch(l, u, v, max_class)):
                     closed_ok = False
-        next_rows = (
-            list(l.lower_central_series[depth + 1])
-            if depth + 1 < len(l.lower_central_series)
-            else []
-        )
         for u in rows:
             gu = GroupElement(l, u)
             for b in basis:
                 log_comm = group_commutator(
                     gu, GroupElement(l, b), max_class
                 ).commutator.log
-                if next_rows:
-                    if coords_in_rows(d, next_rows, log_comm) is None:
-                        drop_ok = False
-                elif not l.ring.carrier.is_zero(log_comm):
+                # past the last term, series_spaces holds the zero subspace
+                if not l.series_spaces[depth + 1].contains(log_comm):
                     drop_ok = False
     return CorrespondenceReport(
         center_rows=tuple(ann),

@@ -33,9 +33,8 @@ from .bilinear import (
     Carrier,
     FIELD,
     INTEGER,
+    Subspace,
     WidthReport,
-    canonical_span_rows,
-    coords_in_rows,
     field_carrier,
     image_submodule,
     module_carrier,
@@ -55,7 +54,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix
 from .modules import (
     submodule_adapted_basis,
     submodule_canonical_gens,
@@ -200,7 +199,7 @@ def square_ideal(r: RingPresentation):
 
 def _span_canonical(carrier: Carrier, vectors):
     if carrier.kind == FIELD:
-        return canonical_span_rows(carrier.domain, vectors, carrier.dim)
+        return list(Subspace.span(carrier.domain, vectors, carrier.dim).rows)
     if carrier.kind == INTEGER:
         return submodule_canonical_gens(carrier.desc, vectors)
     # mixed: canonicalize blockwise
@@ -210,7 +209,7 @@ def _span_canonical(carrier: Carrier, vectors):
     m_d, m_b, (d_idx, b_idx) = divisible_bounded_split(desc)
     d_vectors = [project_coords(v, d_idx) for v in vectors]
     b_vectors = [project_coords(v, b_idx) for v in vectors]
-    d_rows = canonical_span_rows(QQ, d_vectors, len(d_idx))
+    d_rows = Subspace.span(QQ, d_vectors, len(d_idx)).rows
     b_rows = submodule_canonical_gens(m_b, b_vectors)
     out = []
     for row in d_rows:
@@ -226,38 +225,26 @@ def _span_canonical(carrier: Carrier, vectors):
     return out
 
 
-def _contains(carrier: Carrier, gens, x) -> bool:
+def _membership(carrier: Carrier, gens):
+    """The membership test of the submodule spanned by gens."""
     if carrier.kind == FIELD:
-        return coords_in_rows(carrier.domain, list(gens), x) is not None
+        return Subspace.span(carrier.domain, gens, carrier.dim).contains
     if carrier.kind == INTEGER:
-        return submodule_contains(carrier.desc, gens, x)
+        return lambda x: submodule_contains(carrier.desc, gens, x)
     from .modules import divisible_bounded_split, project_coords
 
-    desc = carrier.desc
-    m_d, m_b, (d_idx, b_idx) = divisible_bounded_split(desc)
-    d_gens = [project_coords(g, d_idx) for g in gens]
+    m_d, m_b, (d_idx, b_idx) = divisible_bounded_split(carrier.desc)
+    d_span = Subspace.span(QQ, [project_coords(g, d_idx) for g in gens], len(d_idx))
     b_gens = [project_coords(g, b_idx) for g in gens]
-    d_ok = coords_in_rows(QQ, canonical_span_rows(QQ, d_gens, len(d_idx)),
-                          project_coords(x, d_idx)) is not None
-    b_ok = submodule_contains(m_b, b_gens, project_coords(x, b_idx))
-    return d_ok and b_ok
-
-
-def span_intersection_rows(domain: Domain, rows_a, rows_b, dim: int):
-    """Canonical basis of span(rows_a) intersect span(rows_b) over a field."""
-    if not rows_a or not rows_b:
-        return []
-    cols = [tuple(r) for r in rows_a] + [tuple(domain.neg(c) for c in r) for r in rows_b]
-    mat = Matrix.from_cols(domain, cols)
-    kern = kernel_basis(mat)
-    coeffs = [kern.col(j)[: len(rows_a)] for j in range(kern.cols)]
-    vectors = rows_through(coeffs, rows_a, field_carrier(domain, dim))
-    return canonical_span_rows(domain, vectors, dim)
+    return lambda x: d_span.contains(project_coords(x, d_idx)) and submodule_contains(
+        m_b, b_gens, project_coords(x, b_idx)
+    )
 
 
 def _intersection(carrier: Carrier, gens_a, gens_b):
     if carrier.kind == FIELD:
-        return span_intersection_rows(carrier.domain, gens_a, gens_b, carrier.dim)
+        d, dim = carrier.domain, carrier.dim
+        return list(Subspace.span(d, gens_a, dim).intersect(Subspace.span(d, gens_b, dim)).rows)
     if carrier.kind == INTEGER:
         from .modules import generator_matrix, relation_matrix
         from .linalg import kernel_basis_int
@@ -284,8 +271,7 @@ def delta_ideal(r: RingPresentation):
 
 def is_regular(r: RingPresentation) -> bool:
     """Ann(R) <= R^2."""
-    sq = square_ideal(r)
-    return all(_contains(r.carrier, sq, a) for a in annihilator(r))
+    return all(map(_membership(r.carrier, square_ideal(r)), annihilator(r)))
 
 
 # -- verbal ideals ----------------------------------------------------------------
@@ -502,23 +488,12 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
     if r.carrier.kind == FIELD:
         d = r.carrier.domain
         # extend delta to ann: the added vectors form R_0
-        r0_rows = []
-        current = list(delta)
-        for a in ann:
-            trial = canonical_span_rows(d, current + [a], r.dim)
-            if len(trial) > len(current):
-                r0_rows.append(a)
-                current = trial
-        # complement of R_0 containing R^2
-        found_rows = list(sq)
-        blocked = list(r0_rows)
-        for i in range(r.dim):
-            e = tuple(d.one() if k == i else d.zero() for k in range(r.dim))
-            trial = canonical_span_rows(d, found_rows + blocked + [e], r.dim)
-            if len(trial) > len(canonical_span_rows(d, found_rows + blocked, r.dim)):
-                found_rows.append(e)
-        found_rows = canonical_span_rows(d, found_rows, r.dim)
-        r0_rows = canonical_span_rows(d, r0_rows, r.dim)
+        r0_rows = [ann[k] for k in Subspace.span(d, delta, r.dim).extend(ann)]
+        # complement of R_0 containing R^2, by standard basis vectors
+        units = r._basis()
+        picked = Subspace.span(d, list(sq) + r0_rows, r.dim).extend(units)
+        found_rows = Subspace.span(d, list(sq) + [units[k] for k in picked], r.dim).rows
+        r0_rows = Subspace.span(d, r0_rows, r.dim).rows
         foundation = ring_on_rows(r, found_rows)
         addition = RingPresentation(
             field_carrier(d, len(r0_rows)),
@@ -719,27 +694,15 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
         e_sq = Matrix.zero(d, len(scalar.square_rows), len(scalar.square_rows))
         for c, act in zip(lf.idempotent, scalar.action_on_square):
             e_sq = e_sq.add(act.scale(c))
-        s_rows_sq = canonical_span_rows(
-            d, [e_sq.col(j) for j in range(e_sq.cols)], e_sq.rows
-        )
-        q_rows = canonical_span_rows(
-            d, [e_q.col(j) for j in range(e_q.cols)], e_q.rows
-        )
+        s_rows_sq = Subspace.span(d, [e_sq.col(j) for j in range(e_sq.cols)], e_sq.rows).rows
+        q_rows = Subspace.span(d, [e_q.col(j) for j in range(e_q.cols)], e_q.rows).rows
         # eta-image of the square part inside the quotient block
-        eta_s = canonical_span_rows(
-            d, [scalar.eta.apply(srow) for srow in s_rows_sq], scalar.eta.rows
-        )
-        d_rows = []
-        current = list(eta_s)
-        for q in q_rows:
-            trial = canonical_span_rows(d, current + [q], scalar.eta.rows)
-            if len(trial) > len(current):
-                d_rows.append(q)
-                current = trial
+        eta_s = Subspace.span(d, [scalar.eta.apply(srow) for srow in s_rows_sq], scalar.eta.rows)
+        d_rows = [q_rows[k] for k in eta_s.extend(q_rows)]
         s_part = rows_through(s_rows_sq, scalar.square_rows, rf.carrier)
         d_part = rows_through(d_rows, scalar.quotient_rows, rf.carrier)
         comp_rows_rf = list(s_part) + list(d_part)
-        if len(canonical_span_rows(d, comp_rows_rf, rf.dim)) != len(comp_rows_rf):
+        if not Subspace.span(d, comp_rows_rf, rf.dim).independent:
             raise InvariantViolation("component independence check: the component basis is dependent")
         comp_ring = ring_on_rows(rf, comp_rows_rf)
         rows_ambient = rows_through(comp_rows_rf, split.foundation_rows, r.carrier)
@@ -847,9 +810,9 @@ def decompose_bounded(r: RingPresentation, seed: int = 0) -> CentralProductRepor
     components = []
     for lf in factors:
         e_q = scalar.algebra.combine(lf.idempotent)
-        q_rows = canonical_span_rows(d, [e_q.col(j) for j in range(e_q.cols)], e_q.rows)
+        q_rows = Subspace.span(d, [e_q.col(j) for j in range(e_q.cols)], e_q.rows).rows
         lifted = rows_through(q_rows, scalar.quotient_rows, r.carrier)
-        rows = canonical_span_rows(d, list(lifted) + list(ann), r.dim)
+        rows = Subspace.span(d, list(lifted) + list(ann), r.dim).rows
         comp_ring = ring_on_rows(r, rows)
         components.append(
             QuasiComponent(
@@ -913,20 +876,13 @@ def model_construct(
     j_rows = rows_through(lf.radical_rows, lf.basis, field_carrier(d, alg.dim))
     j_mats = [cent.combine(row) for row in j_rows]
     spaces = []
-    current = [
-        tuple(d.one() if k == i else d.zero() for k in range(r.dim))
-        for i in range(r.dim)
-    ]
+    current = r._basis()
     while current:
         spaces.append(list(current))
         moved = [m.apply(v) for m in j_mats for v in current]
-        current = canonical_span_rows(d, moved, r.dim)
-    special = []
-    for depth in range(len(spaces) - 1, -1, -1):
-        for v in spaces[depth]:
-            trial = canonical_span_rows(d, special + [v], r.dim)
-            if len(trial) > len(special):
-                special.append(v)
+        current = Subspace.span(d, moved, r.dim).rows
+    candidates = [v for depth in reversed(spaces) for v in depth]
+    special = [candidates[k] for k in Subspace.span(d, (), r.dim).extend(candidates)]
     special_ring = ring_on_rows(r, special)
     prime_constants, k0_desc = _constants_subfield(base, special_ring.tensor)
     # the target must contain k0

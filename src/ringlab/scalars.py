@@ -15,16 +15,14 @@ small prime fields, are kept as independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import gfenum
 from .artinian import CommutativeAlgebra, LocalFactor, local_decomposition
 from .bilinear import (
     BilinearMap,
     FIELD,
-    canonical_span_rows,
-    complement_rows,
-    coords_in_rows,
+    Subspace,
     field_carrier,
     image_submodule,
     is_full,
@@ -56,27 +54,16 @@ class EndoAlgebra:
     basis: tuple  # of Matrix
     closed: bool
     unital: bool
+    space: Subspace = field(repr=False, compare=False)  # spanned by the basis entries
 
     @staticmethod
     def from_vectors(domain: Domain, dim: int, vectors) -> "EndoAlgebra":
-        rows = canonical_span_rows(domain, vectors, dim * dim)
-        mats = tuple(Matrix(domain, dim, dim, tuple(r)) for r in rows)
-        closed = True
-        for a in mats:
-            for b in mats:
-                prod = a.mul(b)
-                if coords_in_rows(domain, rows, prod.entries) is None:
-                    closed = False
-                    break
-            if not closed:
-                break
-        unital = (
-            coords_in_rows(domain, rows, Matrix.identity(domain, dim).entries)
-            is not None
-            if rows
-            else dim == 0
-        )
-        return EndoAlgebra(domain, dim, mats, closed, unital)
+        rows = Subspace.span(domain, vectors, dim * dim).rows
+        space = Subspace.span(domain, rows, dim * dim)
+        mats = tuple(Matrix(domain, dim, dim, r) for r in rows)
+        closed = all(space.contains(a.mul(b).entries) for a in mats for b in mats)
+        unital = space.contains(Matrix.identity(domain, dim).entries)
+        return EndoAlgebra(domain, dim, mats, closed, unital, space)
 
     @property
     def rank(self) -> int:
@@ -86,10 +73,10 @@ class EndoAlgebra:
         return [m.entries for m in self.basis]
 
     def contains(self, mat: Matrix) -> bool:
-        return coords_in_rows(self.domain, self.vectors(), mat.entries) is not None
+        return self.space.contains(mat.entries)
 
     def coords_of(self, mat: Matrix):
-        return coords_in_rows(self.domain, self.vectors(), mat.entries)
+        return self.space.coords(mat.entries)
 
     def combine(self, coeffs) -> Matrix:
         acc = Matrix.zero(self.domain, self.dim, self.dim)
@@ -213,9 +200,13 @@ class ScalarRingReport:
     """A ring of scalars of f with its action on the image of f."""
 
     algebra: EndoAlgebra
-    image_rows: tuple              # echelon basis of im(f) in N coordinates
+    image: Subspace                # im(f), with its echelon rows as basis
     action_on_image: tuple         # one Matrix per algebra basis element
     bilinear_certified: bool
+
+    @property
+    def image_rows(self) -> tuple:
+        return self.image.rows
 
 
 def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
@@ -274,17 +265,16 @@ def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
         rows = [[zero] * (n * n)]  # no condition: all of End(M)
     kern = kernel_basis(Matrix.from_rows(d, rows))
     algebra = EndoAlgebra.from_vectors(d, n, [kern.col(c) for c in range(kern.cols)])
-    # C = [f(A p_k)] B^-1 with B = [f(p_k)], both read at the lead columns
-    # of the echelon image rows, which are the image-row coordinates
-    image_rows = image_submodule(f)
-    lead = [next(t for t, x in enumerate(v) if not d.is_zero(x)) for v in image_rows]
-    b_inv = inverse(tmat.submatrix(lead, pairs))
-    at_lead = [Matrix.from_rows(d, moved([tmat.row(t) for t in lead], p)) for p in pairs]
+    # C = [f(A p_k)] B^-1 with B = [f(p_k)], both read at the pivots of
+    # the echelon image rows, which are the image-row coordinates
+    image = Subspace.span(d, image_submodule(f), f.n.dim)
+    b_inv = inverse(tmat.submatrix(image.pivots, pairs))
+    at_lead = [Matrix.from_rows(d, moved([tmat.row(t) for t in image.pivots], p)) for p in pairs]
     action = tuple(
         Matrix.from_cols(d, [form.apply(a.entries) for form in at_lead]).mul(b_inv)
         for a in algebra.basis
     )
-    return ScalarRingReport(algebra, tuple(image_rows), action, False)
+    return ScalarRingReport(algebra, image, action, False)
 
 
 def _certified(f: BilinearMap, report: ScalarRingReport, name: str) -> ScalarRingReport:
@@ -317,7 +307,7 @@ def p_of_f(f: BilinearMap) -> ScalarRingReport:
 
 def _apply_action_in_n(report: ScalarRingReport, index: int, value, d: Domain, n_dim: int):
     """A . value for value in N coordinates, via the image basis."""
-    coords = coords_in_rows(d, list(report.image_rows), value)
+    coords = report.image.coords(value)
     if coords is None:
         return None
     moved = report.action_on_image[index].apply(coords)
@@ -369,7 +359,7 @@ def _relation_span_from_sums(f: BilinearMap, sums):
         [f.tensor[i][j][t] for i in range(n) for j in range(n)] for t in range(f.n.dim)
     ]
     gens = gfenum.equal_image_differences(sums, tmat, f.m.domain.p)
-    return canonical_span_rows(f.m.domain, gens, n * n)
+    return Subspace.span(f.m.domain, gens, n * n).rows
 
 
 def z_n_diagnostic(f: BilinearMap, n: int) -> EndoAlgebra:
@@ -474,8 +464,8 @@ def decompose_via_scalars(f: BilinearMap, seed: int = 0) -> BilinearDecompositio
         e_n = Matrix.zero(d, f.n.dim, f.n.dim)
         for c, act in zip(lf.idempotent, report.action_on_image):
             e_n = e_n.add(act.scale(c))
-        m_rows = canonical_span_rows(d, [e_m.col(j) for j in range(e_m.cols)], f.m.dim)
-        n_rows = canonical_span_rows(d, [e_n.col(j) for j in range(e_n.cols)], f.n.dim)
+        m_rows = Subspace.span(d, [e_m.col(j) for j in range(e_m.cols)], f.m.dim).rows
+        n_rows = Subspace.span(d, [e_n.col(j) for j in range(e_n.cols)], f.n.dim).rows
         comp_map = BilinearMap(
             field_carrier(d, len(m_rows)),
             field_carrier(d, len(n_rows)),
@@ -542,7 +532,7 @@ def largest_scalar_action(
         raise DegenerateInput("zero multiplication: the quotient map is degenerate")
     d = mult.m.domain
     dim = mult.m.dim
-    q_rows = complement_rows(d, list(ann_rows), dim)
+    q_rows = Subspace.span(d, ann_rows, dim).complement()
     fprime = BilinearMap(
         field_carrier(d, len(q_rows)),
         field_carrier(d, len(square_rows)),
@@ -551,10 +541,10 @@ def largest_scalar_action(
     if two_sided_kernel(fprime):
         raise InvariantViolation("induced quotient map is degenerate")
     # eta: the class of each R^2 basis vector in the quotient
-    change = list(q_rows) + list(ann_rows)
+    change = Subspace.span(d, list(q_rows) + list(ann_rows), dim)
     eta_cols = []
     for s in square_rows:
-        coords = coords_in_rows(d, change, s)
+        coords = change.coords(s)
         if coords is None:
             raise InvariantViolation("R^2 vector outside R")
         eta_cols.append(coords[: len(q_rows)])

@@ -242,12 +242,27 @@ def test_r_k_additive_across_factors():
         assert sum(j_series(lf).r_k for lf in factors) == algebra.dim
 
 
-def test_minimal_polynomial_failed_solve_is_invariant_violation(monkeypatch):
-    import ringlab.artinian as artinian
+def _minimal_polynomial_by_solve(a, x):
+    """The first power of x that depends on the ones before it, solved for."""
+    from ringlab.linalg import rref, solve
 
-    monkeypatch.setattr(artinian, "solve", lambda m, b: None)
-    with pytest.raises(InvariantViolation, match="minimal polynomial"):
-        Q_X2.minimal_polynomial((0, 1))
+    d = a.base
+    powers = [a.unit]
+    while rref(Matrix.from_rows(d, powers))[2] == len(powers):
+        powers.append(a.mult(powers[-1], x))
+    res = solve(Matrix.from_cols(d, powers[:-1]), powers[-1])
+    return tuple(d.neg(c) for c in res[0]) + (d.one(),)
+
+
+def test_minimal_polynomial_is_the_first_dependent_power():
+    for a in (Q_X2, Q_X2_MINUS_1, Q_X2_MINUS_X, Q_X3, GF2_X2_PLUS_1, Q_T2_MINUS_2_SQ):
+        d = a.base
+        probes = [a.unit, tuple(d.zero() for _ in a.unit)]
+        probes += [tuple(d.from_int((3 * i + k) % 5 - 2) for k in range(a.dim)) for i in range(4)]
+        for x in probes:
+            m = a.minimal_polynomial(x)
+            assert m.coeffs == _minimal_polynomial_by_solve(a, x)
+            assert a.is_zero_elem(a.evaluate_poly(m, x))
 
 
 def test_hensel_failed_solve_is_invariant_violation(monkeypatch):

@@ -334,3 +334,24 @@ def test_a_failed_decomposition_check_is_a_pipeline_error(monkeypatch):
         "ringlab: pipeline error at stage 'group_decompose': "
         "cross-component product check: a product is nonzero\n"
     )
+
+
+def test_a_failed_artinian_check_is_a_pipeline_error(monkeypatch):
+    from dataclasses import replace
+
+    from ringlab import artinian
+
+    real = artinian.field_of_representatives
+    # with the unit among the radical rows, the lifted subfield meets the radical
+    monkeypatch.setattr(
+        artinian,
+        "field_of_representatives",
+        lambda lf: real(replace(lf, radical_rows=lf.radical_rows + (lf.algebra.unit,))),
+    )
+    code, out, err = run_cli("analyze", fixture_path("q-x2-2-squared"))
+    assert code == 2 and not out
+    assert "Traceback" not in err
+    assert err == (
+        "ringlab: pipeline error at stage 'field_of_representatives': "
+        "subfield check: the lifted subfield meets the radical\n"
+    )

@@ -373,16 +373,16 @@ def _patch_residue_degree(monkeypatch, degree):
 def test_dependent_component_basis_is_an_invariant_violation(monkeypatch):
     import sys
 
-    from ringlab import rings
+    from ringlab.bilinear import Subspace
 
-    real = rings.canonical_span_rows
+    real = Subspace.independent.fget
 
-    def lossy(d, vectors, width):
-        rows = real(d, vectors, width)
-        # lose a row only where decompose_char0 checks its component basis
-        return rows[:-1] if sys._getframe(1).f_locals.get("comp_rows_rf") is vectors else rows
+    def lossy(space):
+        # report a dependent basis only where decompose_char0 checks its component basis
+        rows = sys._getframe(1).f_locals.get("comp_rows_rf")
+        return real(space) and (rows is None or space.basis != tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(rings, "canonical_span_rows", lossy)
+    monkeypatch.setattr(Subspace, "independent", property(lossy))
     with pytest.raises(InvariantViolation, match="^component independence check: "):
         decompose_char0(heisenberg())
 
