@@ -302,7 +302,8 @@ class Subspace:
         at_pivots = self._echelon_coords(v)
         if at_pivots is None:
             return None
-        d, acc = self.domain, [self.domain.zero()] * len(self.basis)
+        d = self.domain
+        acc = [d.zero()] * len(self.basis)
         for c, col in zip(at_pivots, self._to_basis):
             if not d.is_zero(c):
                 d.add_scaled(acc, c, col, range(len(acc)))
