@@ -1,9 +1,10 @@
 """Whole-report golden tests: command stdout compared byte for byte.
 
 The five packaged fixtures run with `--format json` and with
-`--format text --witnesses`; six benchmark inputs (seed 1 of
+`--format text --witnesses`; seven benchmark inputs (seed 1 of
 `ringbench/workloads.py`, copied under `golden/inputs/`) run with
-`--format json`.  `malcev mul`, `comm` and `pow` run on the malcev-q top
+`--format json`; R3-z is the one that reaches the ring pipeline's
+integer coordinates.  `malcev mul`, `comm` and `pow` run on the malcev-q top
 rung h3x3+q, and the q-x2-2-squared fixture is re-read with
 `--extension=1,0,1` as json and as text.  Two hand-written inputs pin
 what a failed certificate prints: `malcev mul` on nonlie-q (antisymmetric,
@@ -40,6 +41,7 @@ BENCH_INPUTS = {
     "q-mul4": "ring-q",
     "gf7-mul7": "finite-z",
     "outer2x3-gf3": "finite-z",
+    "R3-z": "finite-z",
     "h3x2+q": "lie-q",
     "L6": "lie-q",
 }
