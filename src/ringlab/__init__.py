@@ -48,6 +48,7 @@ from .lie import (
 )
 from .linalg import Matrix, kernel_basis, rref, smith_normal_form, solve
 from .modules import (
+    Lattice,
     ModuleDesc,
     ModuleElement,
     cyclic,

@@ -31,19 +31,18 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, inverse, kernel_basis, kernel_basis_int, rref
+from .linalg import Matrix, inverse, kernel_basis, rref
 from .modules import (
     CYCLIC,
     RATIONAL,
+    Lattice,
     ModuleDesc,
     cyclic,
     divisible_bounded_split,
     rational_line,
-    relation_matrix,
+    reassemble_coords,
     split_complement,
     submodule_adapted_basis,
-    submodule_canonical_gens,
-    quotient_invariants,
 )
 
 FIELD = "field"
@@ -409,37 +408,17 @@ def _field_kernel(f: BilinearMap):
 
 
 def _integer_kernel(f: BilinearMap):
-    m_desc, n_desc = f.m.desc, f.n.desc
-    lam_n = relation_matrix(n_desc)
-    blocks = []
-    for j in range(f.m.dim):
-        for left in (True, False):
-            block = []
-            for t in range(f.n.dim):
-                row = [
-                    int(f.tensor[i][j][t] if left else f.tensor[j][i][t])
-                    for i in range(f.m.dim)
-                ]
-                block.append(row)
-            blocks.append(block)
-    total_rows = len(blocks) * f.n.dim
-    q = lam_n.cols
-    width = f.m.dim + len(blocks) * q
-    rows = []
-    for b, block in enumerate(blocks):
-        for t in range(f.n.dim):
-            row = [0] * width
-            row[: f.m.dim] = block[t]
-            for c in range(q):
-                row[f.m.dim + b * q + c] = -lam_n.get(t, c)
-            rows.append(row)
-    if not rows:
-        gens = [tuple(1 if k == i else 0 for k in range(f.m.dim)) for i in range(f.m.dim)]
-        return submodule_canonical_gens(m_desc, gens)
-    system = Matrix.from_rows(ZZ, rows)
-    kern = kernel_basis_int(system)
-    gens = [tuple(kern.col(j)[: f.m.dim]) for j in range(kern.cols)]
-    return submodule_canonical_gens(m_desc, gens)
+    """C(f) is the preimage of 0 in N^(2m) under x -> (f(x, b_j), f(b_j, x))_j."""
+    m, n = f.m.dim, f.n.dim
+    rows = [
+        tuple(int(f.tensor[i][j][t] if left else f.tensor[j][i][t]) for i in range(m))
+        for j in range(m)
+        for left in (True, False)
+        for t in range(n)
+    ]
+    stacked = Matrix(ZZ, len(rows), m, tuple(x for row in rows for x in row))
+    zero = Lattice.span(ModuleDesc(f.n.desc.summands * (2 * m)), ())
+    return list(Lattice.span(f.m.desc, zero.preimage(stacked)).rows)
 
 
 def two_sided_kernel(f: BilinearMap):
@@ -449,18 +428,11 @@ def two_sided_kernel(f: BilinearMap):
     if f.m.kind == INTEGER:
         return _integer_kernel(f)
     f_d, f_c, (d_idx, b_idx) = torsion_split(f)
-    out = []
-    for gen in two_sided_kernel(f_d):
-        coords = list(f.m.zero())
-        for i, c in zip(d_idx[0], gen):
-            coords[i] = c
-        out.append(f.m.reduce(coords))
-    for gen in two_sided_kernel(f_c):
-        coords = list(f.m.zero())
-        for i, c in zip(b_idx[0], gen):
-            coords[i] = c
-        out.append(f.m.reduce(coords))
-    return out
+    return [
+        reassemble_coords(f.m.desc, [(idx[0], gen)])
+        for idx, part in ((d_idx, f_d), (b_idx, f_c))
+        for gen in two_sided_kernel(part)
+    ]
 
 
 def image_submodule(f: BilinearMap):
@@ -469,24 +441,13 @@ def image_submodule(f: BilinearMap):
     if f.n.kind == FIELD:
         return list(Subspace.span(f.n.domain, entries, f.n.dim).rows)
     if f.n.kind == INTEGER:
-        return submodule_canonical_gens(f.n.desc, entries)
-    return _mixed_image(f)
-
-
-def _mixed_image(f: BilinearMap):
+        return list(Lattice.span(f.n.desc, entries).rows)
     f_d, f_c, (d_idx, b_idx) = torsion_split(f)
-    out = []
-    for gen in image_submodule(f_d):
-        coords = list(f.n.zero())
-        for i, c in zip(d_idx[1], gen):
-            coords[i] = c
-        out.append(f.n.reduce(coords))
-    for gen in image_submodule(f_c):
-        coords = list(f.n.zero())
-        for i, c in zip(b_idx[1], gen):
-            coords[i] = c
-        out.append(f.n.reduce(coords))
-    return out
+    return [
+        reassemble_coords(f.n.desc, [(idx[1], gen)])
+        for idx, part in ((d_idx, f_d), (b_idx, f_c))
+        for gen in image_submodule(part)
+    ]
 
 
 def is_full(f: BilinearMap) -> bool:
@@ -494,7 +455,7 @@ def is_full(f: BilinearMap) -> bool:
     if f.n.kind == FIELD:
         return len(gens) == f.n.dim
     if f.n.kind == INTEGER:
-        return quotient_invariants(f.n.desc, gens) == ()
+        return Lattice.span(f.n.desc, gens).quotient_invariants() == ()
     f_d, f_c, _ = torsion_split(f)
     return is_full(f_d) and is_full(f_c)
 

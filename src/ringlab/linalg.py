@@ -416,23 +416,27 @@ def kernel_basis_int(m: Matrix) -> Matrix:
     return v.submatrix(range(m.cols), free)
 
 
-def solve_int(m: Matrix, b):
-    """Integer solution of m.x = b plus a kernel lattice basis, or None."""
-    _check_int(m, "solve_int")
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} != {m.rows} rows")
-    u, d, v = smith_normal_form(m)
+def solve_smith(snf, b):
+    """Integer solution of m.x = b from m's Smith form (U, D, V), or None."""
+    u, d, v = snf
     c = u.apply(tuple(b))
-    y = [0] * m.cols
-    r = min(m.rows, m.cols)
-    for i in range(m.rows):
+    y = [0] * v.rows
+    r = min(d.rows, d.cols)
+    for i in range(u.rows):
         di = d.get(i, i) if i < r else 0
         if di == 0:
-            if i < len(c) and c[i] != 0:
+            if c[i] != 0:
                 return None
         else:
             if c[i] % di != 0:
                 return None
             y[i] = c[i] // di
-    x = v.apply(tuple(y))
-    return tuple(x), kernel_basis_int(m)
+    return v.apply(tuple(y))
+
+
+def solve_int(m: Matrix, b):
+    """Integer solution of m.x = b, or None; one Smith form per call."""
+    _check_int(m, "solve_int")
+    if len(b) != m.rows:
+        raise DimensionMismatch(f"rhs length {len(b)} != {m.rows} rows")
+    return solve_smith(smith_normal_form(m), b)

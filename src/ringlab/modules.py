@@ -4,27 +4,35 @@ Smith-form split-complement tests for finitely generated Z-modules.
 
 A module element is a coordinate tuple against the summand list: Fraction
 on a rational line, int on a free line, int reduced mod m on a cyclic
-line.  Submodules are handled by generator sequences, never by closure;
-membership and splitting go through integer linear algebra.
+line.  Submodules are handled by generator sequences, never by closure.
+
+Lattice is the one submodule type over Z: every span, membership,
+coordinate, preimage, kernel, intersection and quotient in ringlab goes
+through it, and only it presents a submodule as [G | relations] or calls
+kernel_basis_int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .domains import QQ, Residues, ZZ
 from .errors import (
     ElementNotInModule,
+    InvariantViolation,
     NotOmegaStableShape,
     ValidationError,
 )
 from .linalg import (
     Matrix,
     hermite_column_form,
+    kernel_basis_int,
     smith_normal_form,
     solve_int,
+    solve_smith,
 )
 
 RATIONAL = "rational"
@@ -259,38 +267,73 @@ def generator_matrix(m: ModuleDesc, gens) -> Matrix:
     return Matrix.from_cols(ZZ, cols)
 
 
-def submodule_canonical_gens(m: ModuleDesc, gens):
-    """Hermite-canonical generators of the submodule generated by gens."""
-    g = generator_matrix(m, gens).hstack(relation_matrix(m))
-    h = hermite_column_form(g)
-    out = []
-    for j in range(h.cols):
-        elem = m.reduce(h.col(j))
-        if not m.is_zero_elem(elem):
-            out.append(elem)
-    return out
+@dataclass(frozen=True)
+class Lattice:
+    """The submodule of a f.g. Z-module generated by gens, the integer twin
+    of bilinear.Subspace.  matrix = [G | relations] presents it as a column
+    lattice in Z^n; its Smith form and Hermite form (Cohen, GTM 138, 2.4)
+    are each computed at most once, and every span, membership, coordinate,
+    preimage, intersection and quotient over Z reads off them.
+    """
 
+    ambient: ModuleDesc
+    gens: tuple
+    matrix: Matrix
 
-def submodule_contains(m: ModuleDesc, gens, x) -> bool:
-    g = generator_matrix(m, gens).hstack(relation_matrix(m))
-    target = _lift_int(m, _coords_of(x, m))
-    return solve_int(g, target) is not None
+    @staticmethod
+    def span(ambient: ModuleDesc, gens) -> "Lattice":
+        gens = tuple(gens)
+        return Lattice(
+            ambient, gens, generator_matrix(ambient, gens).hstack(relation_matrix(ambient))
+        )
 
+    @cached_property
+    def smith(self):
+        return smith_normal_form(self.matrix)
 
-def submodule_equal(m: ModuleDesc, gens_a, gens_b) -> bool:
-    return submodule_canonical_gens(m, gens_a) == submodule_canonical_gens(m, gens_b)
+    @cached_property
+    def hermite(self) -> Matrix:
+        """The nonzero Hermite columns: a Z-basis of the column lattice."""
+        return hermite_column_form(self.matrix)
 
+    @cached_property
+    def rows(self) -> tuple:
+        """Canonical generators: the Hermite columns reduced in ambient."""
+        m, h = self.ambient, self.hermite
+        reduced = (m.reduce(h.col(j)) for j in range(h.cols))
+        return tuple(x for x in reduced if not m.is_zero_elem(x))
 
-def quotient_invariants(m: ModuleDesc, gens) -> tuple:
-    """Invariant factors of m / <gens>: (d_1, ..., d_r, 0 ... for free rank),
-    with the trivial d_i = 1 entries dropped."""
-    g = generator_matrix(m, gens).hstack(relation_matrix(m))
-    _, d, _ = smith_normal_form(g)
-    r = min(d.rows, d.cols)
-    diag = [d.get(i, i) for i in range(r)]
-    torsion = [x for x in diag if x not in (0, 1)]
-    free_rank = (m.dim - r) + sum(1 for x in diag if x == 0)
-    return tuple(torsion) + (0,) * free_rank
+    def coords(self, x):
+        """Integer coefficients on gens that sum to x, or None."""
+        sol = solve_smith(self.smith, _lift_int(self.ambient, _coords_of(x, self.ambient)))
+        return None if sol is None else sol[: len(self.gens)]
+
+    def contains(self, x) -> bool:
+        return self.coords(x) is not None
+
+    def preimage(self, a: Matrix):
+        """Generators of {y : a.y in the lattice}: the first a.cols entries
+        of a kernel basis of [a | -matrix]."""
+        m = self.matrix
+        entries = tuple(
+            x for i in range(a.rows) for x in a.row(i) + tuple(-y for y in m.row(i))
+        )
+        kern = kernel_basis_int(Matrix(ZZ, a.rows, a.cols + m.cols, entries))
+        return [kern.col(j)[: a.cols] for j in range(kern.cols)]
+
+    def intersect(self, other: "Lattice") -> "Lattice":
+        a = self.matrix
+        return Lattice.span(self.ambient, [a.apply(y) for y in other.preimage(a)])
+
+    def quotient_invariants(self) -> tuple:
+        """Invariant factors of ambient / lattice: (d_1, ..., d_r, 0 ... for
+        free rank), with the trivial d_i = 1 entries dropped."""
+        _, d, _ = self.smith
+        r = min(d.rows, d.cols)
+        diag = [d.get(i, i) for i in range(r)]
+        torsion = [x for x in diag if x not in (0, 1)]
+        free_rank = (self.ambient.dim - r) + sum(1 for x in diag if x == 0)
+        return tuple(torsion) + (0,) * free_rank
 
 
 def _unimodular_inverse(u: Matrix) -> Matrix:
@@ -317,16 +360,15 @@ class SubmoduleBasis:
     desc: ModuleDesc
     basis: tuple  # ambient coordinate tuples
 
+    @cached_property
+    def _lattice(self) -> Lattice:
+        return Lattice.span(self.ambient, self.basis)
+
     def coords_of(self, x) -> tuple:
         """Coordinates of an ambient element x known to lie in the span."""
-        g = generator_matrix(self.ambient, self.basis).hstack(
-            relation_matrix(self.ambient)
-        )
-        target = _lift_int(self.ambient, _coords_of(x, self.ambient))
-        sol = solve_int(g, target)
-        if sol is None:
+        raw = self._lattice.coords(x)
+        if raw is None:
             raise ElementNotInModule("element is outside the submodule")
-        raw = sol[0][: len(self.basis)]
         return self.desc.reduce(raw)
 
 
@@ -337,23 +379,16 @@ def submodule_adapted_basis(m: ModuleDesc, gens) -> SubmoduleBasis:
     the relations in B-coordinates and taking Smith form yields invariant
     factors, i.e. the submodule's own summand list.
     """
-    g = generator_matrix(m, gens).hstack(relation_matrix(m))
-    b = hermite_column_form(g)
+    b = Lattice.span(m, gens).hermite
     if b.cols == 0:
         return SubmoduleBasis(m, ModuleDesc(()), ())
-    rel = relation_matrix(m)
     # express each relation column in the lattice basis
-    x_cols = []
-    for j in range(rel.cols):
-        sol = solve_int(b, rel.col(j))
-        if sol is None:
-            raise RuntimeError("relation outside its own lattice")
-        x_cols.append(sol[0])
-    x = (
-        Matrix.from_cols(ZZ, x_cols)
-        if x_cols
-        else Matrix(ZZ, b.cols, 0, ())
-    )
+    in_b = Lattice.span(ModuleDesc((free_line(),) * m.dim), [b.col(j) for j in range(b.cols)])
+    rel = relation_matrix(m)
+    x_cols = [in_b.coords(rel.col(j)) for j in range(rel.cols)]
+    if None in x_cols:
+        raise InvariantViolation("adapted-basis check: a relation lies outside its own lattice")
+    x = Matrix.from_cols(ZZ, x_cols) if x_cols else Matrix(ZZ, b.cols, 0, ())
     u, d, _ = smith_normal_form(x)
     u_inv = _unimodular_inverse(u)
     summands = []
@@ -389,7 +424,7 @@ def split_complement(gens, ambient: ModuleDesc, kill=()):
         basis = [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
-        return submodule_canonical_gens(ambient, basis)
+        return list(Lattice.span(ambient, basis).rows)
 
     moduli = ambient.moduli()
     # unknown layout: a = (a_1 .. a_n) in Z^(n*k), then auxiliary relation
@@ -447,7 +482,7 @@ def split_complement(gens, ambient: ModuleDesc, kill=()):
     sol = solve_int(system, tuple(rhs))
     if sol is None:
         return None
-    a_flat = sol[0][: n * k]
+    a_flat = sol[: n * k]
     # retraction matrix column i is G * a_i
     r_cols = []
     for i in range(n):
@@ -457,4 +492,4 @@ def split_complement(gens, ambient: ModuleDesc, kill=()):
     for i in range(n):
         col = [(1 if j == i else 0) - r_cols[i][j] for j in range(n)]
         complement_gens.append(tuple(col))
-    return submodule_canonical_gens(ambient, complement_gens)
+    return list(Lattice.span(ambient, complement_gens).rows)

@@ -28,7 +28,7 @@ from .domains import (
     poly_mul,
     poly_trim,
 )
-from .errors import UnsupportedDegree, UnsupportedDomain, ValidationError
+from .errors import InvariantViolation, UnsupportedDegree, UnsupportedDomain, ValidationError
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def _equal_degree_split_gfp(f: Poly, d: int):
             return _equal_degree_split_gfp(g, d) + _equal_degree_split_gfp(
                 f.exact_div(g).monic(), d
             )
-    raise RuntimeError("equal-degree splitting exhausted its candidate stream")
+    raise InvariantViolation("equal-degree split check: the candidate stream ran out without a split")
 
 
 def _factor_gfp(f: Poly):

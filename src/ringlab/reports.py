@@ -351,7 +351,7 @@ def analyze_commutative_algebra(doc: InputDocument, opts: AnalyzeOptions) -> dic
     entries = []
     total_r = 0
     for lf in factors:
-        series = artinian.j_series(lf)
+        series = _stage("j_series", artinian.j_series, lf)
         total_r += series.r_k
         entry = {
             "idempotent": fmt_element(carrier, lf.idempotent, names),

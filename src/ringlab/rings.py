@@ -56,10 +56,12 @@ from .errors import (
 )
 from .linalg import Matrix
 from .modules import (
-    submodule_adapted_basis,
-    submodule_canonical_gens,
-    submodule_contains,
+    Lattice,
+    divisible_bounded_split,
+    project_coords,
+    reassemble_coords,
     split_complement,
+    submodule_adapted_basis,
 )
 from .scalars import (
     EndoAlgebra,
@@ -201,28 +203,15 @@ def _span_canonical(carrier: Carrier, vectors):
     if carrier.kind == FIELD:
         return list(Subspace.span(carrier.domain, vectors, carrier.dim).rows)
     if carrier.kind == INTEGER:
-        return submodule_canonical_gens(carrier.desc, vectors)
+        return list(Lattice.span(carrier.desc, vectors).rows)
     # mixed: canonicalize blockwise
-    from .modules import divisible_bounded_split, project_coords
-
     desc = carrier.desc
     m_d, m_b, (d_idx, b_idx) = divisible_bounded_split(desc)
-    d_vectors = [project_coords(v, d_idx) for v in vectors]
-    b_vectors = [project_coords(v, b_idx) for v in vectors]
-    d_rows = Subspace.span(QQ, d_vectors, len(d_idx)).rows
-    b_rows = submodule_canonical_gens(m_b, b_vectors)
-    out = []
-    for row in d_rows:
-        coords = list(desc.zero())
-        for i, c in zip(d_idx, row):
-            coords[i] = c
-        out.append(desc.reduce(coords))
-    for row in b_rows:
-        coords = list(desc.zero())
-        for i, c in zip(b_idx, row):
-            coords[i] = c
-        out.append(desc.reduce(coords))
-    return out
+    d_rows = Subspace.span(QQ, [project_coords(v, d_idx) for v in vectors], len(d_idx)).rows
+    b_rows = Lattice.span(m_b, [project_coords(v, b_idx) for v in vectors]).rows
+    return [reassemble_coords(desc, [(d_idx, row)]) for row in d_rows] + [
+        reassemble_coords(desc, [(b_idx, row)]) for row in b_rows
+    ]
 
 
 def _membership(carrier: Carrier, gens):
@@ -230,14 +219,12 @@ def _membership(carrier: Carrier, gens):
     if carrier.kind == FIELD:
         return Subspace.span(carrier.domain, gens, carrier.dim).contains
     if carrier.kind == INTEGER:
-        return lambda x: submodule_contains(carrier.desc, gens, x)
-    from .modules import divisible_bounded_split, project_coords
-
+        return Lattice.span(carrier.desc, gens).contains
     m_d, m_b, (d_idx, b_idx) = divisible_bounded_split(carrier.desc)
     d_span = Subspace.span(QQ, [project_coords(g, d_idx) for g in gens], len(d_idx))
-    b_gens = [project_coords(g, b_idx) for g in gens]
-    return lambda x: d_span.contains(project_coords(x, d_idx)) and submodule_contains(
-        m_b, b_gens, project_coords(x, b_idx)
+    b_span = Lattice.span(m_b, [project_coords(g, b_idx) for g in gens])
+    return lambda x: d_span.contains(project_coords(x, d_idx)) and b_span.contains(
+        project_coords(x, b_idx)
     )
 
 
@@ -246,21 +233,8 @@ def _intersection(carrier: Carrier, gens_a, gens_b):
         d, dim = carrier.domain, carrier.dim
         return list(Subspace.span(d, gens_a, dim).intersect(Subspace.span(d, gens_b, dim)).rows)
     if carrier.kind == INTEGER:
-        from .modules import generator_matrix, relation_matrix
-        from .linalg import kernel_basis_int
-
         desc = carrier.desc
-        ga = generator_matrix(desc, gens_a).hstack(relation_matrix(desc))
-        gb = generator_matrix(desc, gens_b).hstack(relation_matrix(desc))
-        neg_gb = Matrix.from_rows(
-            ga.domain, [[-x for x in gb.row(i)] for i in range(gb.rows)]
-        )
-        kern = kernel_basis_int(ga.hstack(neg_gb))
-        vectors = []
-        for j in range(kern.cols):
-            coeffs = kern.col(j)[: ga.cols]
-            vectors.append(tuple(ga.apply(coeffs)))
-        return submodule_canonical_gens(desc, vectors)
+        return list(Lattice.span(desc, gens_a).intersect(Lattice.span(desc, gens_b)).rows)
     raise UnsupportedDomain("intersection over mixed carriers: split the torsion first")
 
 

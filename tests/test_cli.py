@@ -355,3 +355,44 @@ def test_a_failed_artinian_check_is_a_pipeline_error(monkeypatch):
         "ringlab: pipeline error at stage 'field_of_representatives': "
         "subfield check: the lifted subfield meets the radical\n"
     )
+
+
+def test_a_relation_outside_its_lattice_is_a_pipeline_error(monkeypatch, tmp_path):
+    from ringlab.modules import Lattice
+
+    # zero multiplication on Z + Z/2: the adapted basis of Ann(R) expresses
+    # the relation 2*b in its Hermite basis
+    doc = {
+        "kind": "ring",
+        "domain": "Z",
+        "summands": ["Z", {"torsion": 2}],
+        "basis": ["a", "b"],
+        "table": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+    }
+    path = tmp_path / "z-plus-z2.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(Lattice, "coords", lambda self, x: None)
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 2 and not out
+    assert "Traceback" not in err
+    assert err == (
+        "ringlab: pipeline error at stage 'foundation_addition': "
+        "adapted-basis check: a relation lies outside its own lattice\n"
+    )
+
+
+def test_a_failed_j_series_check_names_its_stage(monkeypatch):
+    from ringlab import artinian
+    from ringlab.errors import InvariantViolation
+
+    def failing(lf):
+        raise InvariantViolation("J-series check: a layer does not shrink")
+
+    monkeypatch.setattr(artinian, "j_series", failing)
+    code, out, err = run_cli("analyze", fixture_path("q-x2-2-squared"))
+    assert code == 2 and not out
+    assert "Traceback" not in err
+    assert err == (
+        "ringlab: pipeline error at stage 'j_series': "
+        "J-series check: a layer does not shrink\n"
+    )

@@ -169,8 +169,17 @@ def test_kernel_int():
 
 def test_solve_int_divisibility():
     assert solve_int(zmat([[2]]), (3,)) is None
-    sol = solve_int(zmat([[2]]), (6,))
-    assert sol is not None and sol[0] == (3,)
+    assert solve_int(zmat([[2]]), (6,)) == (3,)
+
+
+def test_solve_int_computes_one_smith_form(monkeypatch):
+    from ringlab import linalg
+
+    calls = []
+    real = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    assert solve_int(zmat([[2, 4], [0, 6]]), (2, 6)) is not None
+    assert len(calls) == 1
 
 
 def test_hermite_canonical():
