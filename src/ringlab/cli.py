@@ -37,8 +37,14 @@ from .selftest import run_selftest
 
 
 def _read_document(path: str, extension: str | None) -> InputDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]
+        line = head.count(b"\n") + 1
+        col = len(head[head.rfind(b"\n") + 1 :].decode("utf-8")) + 1
+        raise ParseError(f"the file is not UTF-8 text ({exc.reason})", line, col) from None
     doc = load_document(text)
     if extension:
         doc = _pre_extend(doc, extension)

@@ -36,6 +36,7 @@ KINDS = ("bilinear", "ring", "lie", "commutative-algebra", "module")
 # extension entry five, and the recursive descent must stay far from the
 # interpreter's recursion limit.
 MAX_DEPTH = 64
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 @dataclass
@@ -154,12 +155,18 @@ class _Scanner:
                 return "".join(out)
             if c == "\\":
                 self.advance()
+                if self.peek() == "":
+                    self.error("unterminated string")
                 esc = self.advance()
                 mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "/": "/"}
                 if esc in mapping:
                     out.append(mapping[esc])
                 elif esc == "u":
-                    code = "".join(self.advance() for _ in range(4))
+                    code = self.text[self.pos : self.pos + 4]
+                    if len(code) < 4 or not _HEX_DIGITS.issuperset(code):
+                        self.error(f"\\u needs four hex digits, found {code!r}")
+                    for _ in code:
+                        self.advance()
                     out.append(chr(int(code, 16)))
                 else:
                     self.error(f"unsupported escape \\{esc}")

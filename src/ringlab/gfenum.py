@@ -5,15 +5,18 @@ sets that they only hand back to this module.  A row set is a numpy int16
 array of rows reduced mod p; numpy is imported inside the functions, so
 only a GF(p) enumeration loads it.  Arithmetic mod a prime on small
 integers is exact, so nothing here leaves exact arithmetic.  Every
-enumeration runs in a fixed order and keeps rows in the order they first
-occur, so every output is deterministic.
+enumeration runs in a fixed order, and the functions that return row sets
+keep rows in the order they first occur, so every output is deterministic.
+closure_width returns only a count: it walks bitmaps over span
+coordinates, not row sets.
 """
 
 from __future__ import annotations
 
-from .errors import EnumerationTooLarge
+from .errors import EnumerationTooLarge, InvariantViolation
 
 _CHUNK_ROWS = 1 << 16
+_ENUM_CAP = 40_000_000
 
 
 def all_vectors(p: int, dim: int):
@@ -70,7 +73,7 @@ def _unique_chunks(blocks, p: int):
     return np.concatenate(pieces)
 
 
-def sumset(a, b, p: int, cap: int = 40_000_000):
+def sumset(a, b, p: int, cap: int = _ENUM_CAP):
     """Unique rows of {x + y mod p : x in a, y in b}, chunked."""
     if len(a) * len(b) > cap:
         raise EnumerationTooLarge(
@@ -117,21 +120,94 @@ def span_rows(gens, p: int):
 
 def closure_width(values, gens, p: int, bound: int) -> int | None:
     """The least k such that every element of the span of gens is a sum of
-    k rows of values; None once k passes bound.  Both are nonempty int rows
-    (values may also be a row set).  k = 1 is tested before the bound is
-    consulted."""
+    exactly k rows of values; None once k passes bound.  gens are the
+    reduced echelon rows of a nonzero span and values nonempty int rows in
+    it (or a row set).  k = 1 is tested before the bound is consulted.
+
+    A span element is fixed by its r entries at the pivot columns of gens,
+    read as a base-p key as pack_rows reads a row.  Each k-fold sumset is a
+    bitmap over the p^r keys, made from the keys reached so far plus every
+    value key, digit by digit mod p (_add_keys); nothing is sorted or
+    deduplicated.  Each step refuses the work that sumset would refuse."""
     import numpy as np
 
-    values = np.asarray(values, dtype=np.int16) % p
-    target = span_rows(np.asarray(gens, dtype=np.int16) % p, p)
-    reach = values
+    gens = np.asarray(gens, dtype=np.int64) % p
+    r = len(gens)
+    if p**r > _ENUM_CAP:
+        raise EnumerationTooLarge(f"a span of {p}^{r} elements exceeds the enumeration cap")
+    values = np.asarray(values, dtype=np.int64) % p
+    pivots = (gens != 0).argmax(axis=1)
+    coords = values[:, pivots]
+    if not (
+        np.array_equal(gens[:, pivots], np.eye(r, dtype=np.int64))
+        and np.array_equal(coords @ gens % p, values)
+    ):
+        raise InvariantViolation(
+            "width search: the values are not combinations of the echelon rows "
+            "read at their pivots"
+        )
+    reach = np.zeros(p**r, dtype=bool)
+    reach[pack_rows(coords, p)] = True
+    value_keys = np.flatnonzero(reach)
+    groups = _digit_groups(p, r)
     k = 1
-    while not same_row_set(np.concatenate([reach, target]), reach, p):
+    while not reach.all():
         k += 1
         if k > bound:
             return None
-        reach = sumset(reach, values, p)
+        keys = np.flatnonzero(reach)
+        if len(keys) * len(value_keys) > _ENUM_CAP:
+            raise EnumerationTooLarge(
+                f"sumset of {len(keys)} x {len(value_keys)} rows exceeds the enumeration cap"
+            )
+        reach = _add_keys(keys, value_keys, groups, p, len(reach))
     return k
+
+
+def _digit_groups(p: int, r: int):
+    """Split r base-p digits, least significant first, into groups of at
+    most max(1, r // 2) digits: (weight, size, table) per group, where
+    weight is p^(the group's lowest digit) and table[x * p^size + y] is
+    weight times the digitwise sum mod p of the size-digit numbers x and y.
+    No table has more than p^r entries: for r = 1 the one digit adds mod p
+    and table is None."""
+    import numpy as np
+
+    step = max(1, r // 2)
+    groups = []
+    for low in range(0, r, step):
+        size, weight = min(step, r - low), p**low
+        table = None
+        if 2 * size <= r:
+            x = np.arange(p**size, dtype=np.int32)
+            table = sum(
+                (x[:, None] // p**d + x[None, :] // p**d) % p * p**d for d in range(size)
+            )
+            table = (table * weight).ravel()
+        groups.append((weight, size, table))
+    return groups
+
+
+def _add_keys(keys, value_keys, groups, p: int, length: int):
+    """Bitmap of length entries marking every key + value key, digitwise mod p,
+    over chunks of about _CHUNK_ROWS pairs."""
+    import numpy as np
+
+    parts = []
+    for weight, size, table in groups:
+        block = p**size
+        left = (keys // weight % block).astype(np.int32)
+        right = (value_keys // weight % block).astype(np.int32)
+        parts.append((left if table is None else left * block, right, weight, table))
+    out = np.zeros(length, dtype=bool)
+    step = max(1, _CHUNK_ROWS // len(value_keys))
+    for s in range(0, len(keys), step):
+        total = 0
+        for left, right, weight, table in parts:
+            pair = left[s : s + step, None] + right
+            total = total + (pair % p * weight if table is None else table.take(pair))
+        out[total] = True
+    return out
 
 
 def equal_image_differences(rows, matrix, p: int) -> list:

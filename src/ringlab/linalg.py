@@ -100,16 +100,14 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         d = self.domain
+        cols = range(other.cols)
         out = []
-        ot = other.transpose()
         for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                c = ot.row(j)
-                acc = d.zero()
-                for x, y in zip(r, c):
-                    acc = d.add(acc, d.mul(x, y))
-                out.append(acc)
+            acc = [d.zero()] * other.cols
+            for k, x in enumerate(self.row(i)):
+                if not d.is_zero(x):
+                    d.add_scaled(acc, x, other.row(k), cols)
+            out += acc
         return Matrix(d, self.rows, other.cols, tuple(out))
 
     def apply(self, vec) -> tuple:

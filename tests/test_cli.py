@@ -288,6 +288,15 @@ def test_analyze_max_class_caps_bch():
     assert "class 2 exceeds the BCH cap 1" in err
 
 
+def test_non_utf8_document_is_invalid_input(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("ringlab: invalid input: the file is not UTF-8 text")
+    assert "(line 1, column 1)" in err
+
+
 def test_deeply_nested_document_is_parse_error():
     import tempfile
 

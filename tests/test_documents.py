@@ -40,6 +40,27 @@ def test_parse_error_carries_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ('{"kind": "\\uzz00"}', "four hex digits, found 'zz00'", 13),
+        ('{"kind": "\\u0x1a"}', "four hex digits, found '0x1a'", 13),
+        ('"\\u00', "four hex digits, found '00'", 4),
+        ('"1\\', "unterminated string", 4),
+        ('"\\', "unterminated string", 3),
+    ],
+)
+def test_bad_and_cut_off_escapes_are_parse_errors(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_json(text)
+    assert message in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def test_unicode_escapes_decode():
+    assert parse_json('"\\u00e9\\u00C9x"').value == "\u00e9\u00c9x"
+
+
 def test_float_literals_rejected():
     with pytest.raises(ParseError) as exc:
         parse_json('{"x": 1.5}')

@@ -1,7 +1,7 @@
 """Whole-report golden tests: command stdout compared byte for byte.
 
 The five packaged fixtures run with `--format json` and with
-`--format text --witnesses`; seven benchmark inputs (seed 1 of
+`--format text --witnesses`; eight benchmark inputs (seed 1 of
 `ringbench/workloads.py`, copied under `golden/inputs/`) run with
 `--format json`; R3-z is the one that reaches the ring pipeline's
 integer coordinates.  `malcev mul`, `comm` and `pow` run on the malcev-q top
@@ -41,6 +41,7 @@ BENCH_INPUTS = {
     "q-mul4": "ring-q",
     "gf7-mul7": "finite-z",
     "outer2x3-gf3": "finite-z",
+    "outer3x3-gf3": "finite-z",
     "R3-z": "finite-z",
     "h3x2+q": "lie-q",
     "L6": "lie-q",
