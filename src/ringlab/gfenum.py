@@ -166,11 +166,11 @@ def closure_width(values, gens, p: int, bound: int) -> int | None:
 
 def _digit_groups(p: int, r: int):
     """Split r base-p digits, least significant first, into groups of at
-    most max(1, r // 2) digits: (weight, size, table) per group, where
-    weight is p^(the group's lowest digit) and table[x * p^size + y] is
-    weight times the digitwise sum mod p of the size-digit numbers x and y.
-    No table has more than p^r entries: for r = 1 the one digit adds mod p
-    and table is None."""
+    most max(1, r // 2) digits: (weight, block, table) per group of size
+    digits, where weight is p^(the group's lowest digit), block is p^size
+    and table[x * block + y] is weight times the digitwise sum mod p of the
+    size-digit numbers x and y.  No table has more than p^r entries: for
+    r = 1 the one digit adds mod p and table is None."""
     import numpy as np
 
     step = max(1, r // 2)
@@ -184,7 +184,7 @@ def _digit_groups(p: int, r: int):
                 (x[:, None] // p**d + x[None, :] // p**d) % p * p**d for d in range(size)
             )
             table = (table * weight).ravel()
-        groups.append((weight, size, table))
+        groups.append((weight, p**size, table))
     return groups
 
 
@@ -194,8 +194,7 @@ def _add_keys(keys, value_keys, groups, p: int, length: int):
     import numpy as np
 
     parts = []
-    for weight, size, table in groups:
-        block = p**size
+    for weight, block, table in groups:
         left = (keys // weight % block).astype(np.int32)
         right = (value_keys // weight % block).astype(np.int32)
         parts.append((left if table is None else left * block, right, weight, table))
