@@ -10,6 +10,9 @@ rung h3x3+q, and the q-x2-2-squared fixture is re-read with
 what a failed certificate prints: `malcev mul` on nonlie-q (antisymmetric,
 Jacobi fails first at basis triple (1, 2, 3)) exits 2 with the witness on
 stderr, and `analyze` on nonassoc-q reports `associative: false`.
+R5-q (R_5 over Q, dim 16, so 256 unknowns in the centroid system; made by
+`families.ring_doc(random.Random("R5-q:1"), 5, families.Q, "Q")`) pins the
+ring pipeline over Q above the benchmark's R_3.
 Expected bytes live in `golden/expected/`; a case with a nonzero exit code
 also pins its stderr in `<expected>.stderr`.
 
@@ -83,6 +86,7 @@ CASES = (
             ["malcev", "mul", _input("nonlie-q"), "(1,0,0,0,0)", "(0,1,0,0,0)", "--format", "json"],
         ),
         ("nonassoc-q.json", ["analyze", _input("nonassoc-q"), "--format", "json"]),
+        ("R5-q.json", ["analyze", _input("R5-q"), "--format", "json"]),
     ]
     + [
         (
