@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from . import gfenum
 from .domains import Domain, PrimeField, QQ, Rationals, ZZ
@@ -39,6 +40,7 @@ from .modules import (
     ModuleDesc,
     cyclic,
     divisible_bounded_split,
+    free_line,
     rational_line,
     reassemble_coords,
     split_complement,
@@ -153,6 +155,9 @@ class BilinearMap:
             for row in tensor
         )
         object.__setattr__(self, "support", support)
+        # the same coordinates as index lists, for Domain.add_scaled
+        cols = tuple(tuple(tuple(t for t, _ in e) for e in row) for row in support)
+        object.__setattr__(self, "_support_cols", cols)
 
     def _validate_cross_structure(self):
         """Torsion and divisibility constraints forced by Z-bilinearity.
@@ -203,13 +208,20 @@ class BilinearMap:
 
     def combine(self, terms):
         """The sum of c * f(b_i, b_j) over the (c, i, j) in terms, read off
-        the nonzero coordinates in support and reduced in N."""
+        the nonzero coordinates in support and reduced in N; over a field
+        through Domain.add_scaled."""
         zero, _, add, mul = self._arith()
         acc = [zero] * self.n.dim
-        support = self.support
-        for c, i, j in terms:
-            for t, e in support[i][j]:
-                acc[t] = add(acc[t], mul(c, e))
+        if self.m.kind == FIELD:
+            add_scaled, tensor, cols = self.m.domain.add_scaled, self.tensor, self._support_cols
+            for c, i, j in terms:
+                if cols[i][j]:
+                    add_scaled(acc, c, tensor[i][j], cols[i][j])
+        else:
+            support = self.support
+            for c, i, j in terms:
+                for t, e in support[i][j]:
+                    acc[t] = add(acc[t], mul(c, e))
         return self.n.reduce(tuple(acc))
 
     def evaluate(self, x, y):
@@ -408,16 +420,21 @@ def _field_kernel(f: BilinearMap):
 
 
 def _integer_kernel(f: BilinearMap):
-    """C(f) is the preimage of 0 in N^(2m) under x -> (f(x, b_j), f(b_j, x))_j."""
+    """C(f) is the preimage of 0 in N^(2m) under x -> (f(x, b_j), f(b_j, x))_j.
+    A rational line of N asks for an exact zero with no relation, so its
+    row is cleared of denominators and the line counts as free."""
     m, n = f.m.dim, f.n.dim
     rows = [
-        tuple(int(f.tensor[i][j][t] if left else f.tensor[j][i][t]) for i in range(m))
+        [f.tensor[i][j][t] if left else f.tensor[j][i][t] for i in range(m)]
         for j in range(m)
         for left in (True, False)
         for t in range(n)
     ]
-    stacked = Matrix(ZZ, len(rows), m, tuple(x for row in rows for x in row))
-    zero = Lattice.span(ModuleDesc(f.n.desc.summands * (2 * m)), ())
+    scales = [lcm(*(c.denominator for c in row)) for row in rows]
+    entries = tuple(int(c * s) for row, s in zip(rows, scales) for c in row)
+    stacked = Matrix(ZZ, len(rows), m, entries)
+    lines = tuple(free_line() if s.kind == RATIONAL else s for s in _desc_of(f.n).summands)
+    zero = Lattice.span(ModuleDesc(lines * (2 * m)), ())
     return list(Lattice.span(f.m.desc, zero.preimage(stacked)).rows)
 
 
@@ -676,7 +693,7 @@ def _pivot_entry_certificates(f: BilinearMap):
 
 def _width_bfs(f: BilinearMap, image, search_bound: int) -> WidthReport:
     p = f.m.domain.p
-    k = gfenum.closure_width(gfenum.products(f.tensor, p), image, p, search_bound)
+    k = gfenum.product_width(f.tensor, image, p, search_bound)
     if k is None:
         raise SearchBoundExceeded(f"width exceeded the search bound {search_bound}")
     return WidthReport(k, k, True, ())

@@ -162,16 +162,30 @@ class _Scanner:
                 if esc in mapping:
                     out.append(mapping[esc])
                 elif esc == "u":
-                    code = self.text[self.pos : self.pos + 4]
-                    if len(code) < 4 or not _HEX_DIGITS.issuperset(code):
-                        self.error(f"\\u needs four hex digits, found {code!r}")
-                    for _ in code:
+                    line, col = self.line, self.col
+                    value = self.parse_hex4()
+                    if 0xD800 <= value < 0xDC00 and self.text.startswith("\\u", self.pos):
+                        # a UTF-16 pair: high then low surrogate
                         self.advance()
-                    out.append(chr(int(code, 16)))
+                        self.advance()
+                        low = self.parse_hex4()
+                        if 0xDC00 <= low < 0xE000:
+                            value = 0x10000 + ((value - 0xD800) << 10) + low - 0xDC00
+                    if 0xD800 <= value < 0xE000:
+                        raise ParseError(f"lone UTF-16 surrogate \\u{value:04x}", line, col)
+                    out.append(chr(value))
                 else:
                     self.error(f"unsupported escape \\{esc}")
             else:
                 out.append(self.advance())
+
+    def parse_hex4(self) -> int:
+        code = self.text[self.pos : self.pos + 4]
+        if len(code) < 4 or not _HEX_DIGITS.issuperset(code):
+            self.error(f"\\u needs four hex digits, found {code!r}")
+        for _ in code:
+            self.advance()
+        return int(code, 16)
 
     def parse_number(self):
         start = self.pos

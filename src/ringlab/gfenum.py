@@ -7,8 +7,11 @@ only a GF(p) enumeration loads it.  Arithmetic mod a prime on small
 integers is exact, so nothing here leaves exact arithmetic.  Every
 enumeration runs in a fixed order, and the functions that return row sets
 keep rows in the order they first occur, so every output is deterministic.
-closure_width returns only a count: it walks bitmaps over span
-coordinates, not row sets.
+The row-set functions (products, sumset, span_rows, ...) serve the Z_n
+chain and the tests.  The width searches, closure_width on given values
+and product_width on the products of a structure tensor, return only a
+count: they mark the base-p keys of span coordinates in a bitmap and
+make, sort or deduplicate no row set.
 """
 
 from __future__ import annotations
@@ -125,10 +128,41 @@ def closure_width(values, gens, p: int, bound: int) -> int | None:
     it (or a row set).  k = 1 is tested before the bound is consulted.
 
     A span element is fixed by its r entries at the pivot columns of gens,
-    read as a base-p key as pack_rows reads a row.  Each k-fold sumset is a
-    bitmap over the p^r keys, made from the keys reached so far plus every
-    value key, digit by digit mod p (_add_keys); nothing is sorted or
-    deduplicated.  Each step refuses the work that sumset would refuse."""
+    read as a base-p key as pack_rows reads a row."""
+    return _width(values, gens, p, bound, lambda coords: [pack_rows(coords, p)])
+
+
+def product_width(tensor, gens, p: int, bound: int) -> int | None:
+    """closure_width of all f(x, y), x, y in GF(p)^m, for the map with int
+    structure tensor tensor[i][j] = f(b_i, b_j), m >= 1, and gens the
+    reduced echelon rows of its image, without making any product as a row.
+    Each key is built pivot by pivot from the tensor's pivot entries; as
+    f(cx, y) = f(x, cy), x runs over one vector per line (first nonzero
+    coordinate 1), and y = 0 gives the key 0."""
+    import numpy as np
+
+    def keys(coords):
+        coords = coords.astype(np.int32)  # the cap keeps every key under 2^31
+        ys = all_vectors(p, len(coords)).astype(np.int32)
+        xs = ys[ys[np.arange(len(ys)), (ys != 0).argmax(axis=1)] == 1]
+        step = max(1, _CHUNK_ROWS // len(ys))
+        for s in range(0, len(xs), step):
+            out = 0
+            for t in range(coords.shape[-1]):
+                out = out * p + xs[s : s + step] @ coords[:, :, t] @ ys.T % p
+            yield out
+
+    return _width(tensor, gens, p, bound, keys)
+
+
+def _width(values, gens, p: int, bound: int, key_chunks) -> int | None:
+    """closure_width's search on values (int rows over the columns of gens,
+    in an array of any shape), keyed by the chunks that key_chunks yields
+    from their pivot entries.  A span past _ENUM_CAP is refused before
+    anything is read, and each value must be the combination of gens its
+    pivot entries give.  Each k-fold sumset is a bitmap over the p^r keys,
+    made digit by digit mod p (_add_keys); nothing is sorted or
+    deduplicated, and each step refuses the work that sumset would refuse."""
     import numpy as np
 
     gens = np.asarray(gens, dtype=np.int64) % p
@@ -137,7 +171,7 @@ def closure_width(values, gens, p: int, bound: int) -> int | None:
         raise EnumerationTooLarge(f"a span of {p}^{r} elements exceeds the enumeration cap")
     values = np.asarray(values, dtype=np.int64) % p
     pivots = (gens != 0).argmax(axis=1)
-    coords = values[:, pivots]
+    coords = values[..., pivots]
     if not (
         np.array_equal(gens[:, pivots], np.eye(r, dtype=np.int64))
         and np.array_equal(coords @ gens % p, values)
@@ -147,7 +181,8 @@ def closure_width(values, gens, p: int, bound: int) -> int | None:
             "read at their pivots"
         )
     reach = np.zeros(p**r, dtype=bool)
-    reach[pack_rows(coords, p)] = True
+    for chunk in key_chunks(coords):
+        reach[chunk] = True
     value_keys = np.flatnonzero(reach)
     groups = _digit_groups(p, r)
     k = 1

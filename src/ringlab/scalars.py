@@ -218,61 +218,73 @@ def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
     every pair's value in the basis f(p_k); C is fixed by C f(p_k) =
     f(A p_k), so every condition is linear in A.  Each C is returned in
     the coordinates of the echelon image rows.
+
+    Each condition is built as a sparse row (unknown -> coefficient) from
+    the nonzero entries of the reduced tensor matrix and of eta f.  Zero
+    and repeated rows are dropped before kernel_basis: they do not change
+    the row space, the kernel depends only on it, and the rref it is read
+    from is unique, so the basis is the one the whole system gives.
     """
     _require_field_map(f, "centroid_of")
     d = f.m.domain
     n = f.m.dim
-    zero, minus_one = d.zero(), d.neg(d.one())
+    zero = d.zero()
 
-    def moved(vals, q, left=True):
-        """For each row v of vals, a vector over basis pairs, the linear
-        form A -> v at (A e_i, e_j), or at (e_i, A e_j), where q = (i, j)."""
+    def sparse(rows):
+        return [{q: c for q, c in enumerate(row) if not d.is_zero(c)} for row in rows]
+
+    def moved(rows, q, left=True):
+        """For each sparse row v over basis pairs, the linear form A -> v at
+        (A e_i, e_j), or at (e_i, A e_j), where q = (i, j), as a sparse row."""
         i, j = divmod(q, n)
-        out = [[zero] * (n * n) for _ in vals]
-        for row, v in zip(out, vals):
-            for l in range(n):
-                u, w = (l * n + i, l * n + j) if left else (l * n + j, i * n + l)
-                row[u] = v[w]
-        return out
+        at = [(l * n + i, l * n + j) if left else (l * n + j, i * n + l) for l in range(n)]
+        return [{u: v[w] for u, w in at if w in v} for v in rows]
 
-    def axpy(xs, c, ys):
-        """xs + c ys, row by row, as new rows."""
-        out = [list(x) for x in xs]
-        for acc, y in zip(out, ys):
-            d.add_scaled(acc, c, y, [t for t, v in enumerate(y) if not d.is_zero(v)])
-        return out
+    equations = {}  # the distinct rows, keyed by their nonzero items
+
+    def keep(plus, minus):
+        row = dict(plus)
+        for u, c in minus.items():
+            row[u] = d.sub(row.get(u, zero), c)
+        equations[tuple(sorted((u, c) for u, c in row.items() if not d.is_zero(c)))] = None
 
     tmat = tensor_matrix(f)
     reduced, pairs, r = rref(tmat)
-    coef = reduced.row_list()[:r]  # column q: f(q) in the basis f(p_k)
+    coef = sparse(reduced.row_list()[:r])  # column q: f(q) in the basis f(p_k)
     images = [moved(coef, p) for p in pairs]  # C f(p_k) = f(A p_k)
-    rows = []
     for q in range(n * n):
-        scaled = [[zero] * (n * n) for _ in range(r)]  # C f(q)
+        scaled = [{} for _ in range(r)]  # C f(q)
         for row, image in zip(coef, images):
-            if not d.is_zero(row[q]):
-                scaled = axpy(scaled, row[q], image)
-        rows += axpy(scaled, minus_one, moved(coef, q))
-        rows += axpy(scaled, minus_one, moved(coef, q, left=False))
+            if q in row:
+                for acc, form in zip(scaled, image):
+                    for u, v in form.items():
+                        acc[u] = d.add(acc.get(u, zero), d.mul(row[q], v))
+        for left in (True, False):
+            for acc, form in zip(scaled, moved(coef, q, left)):
+                keep(acc, form)
     if eta is not None:
-        eta_t = eta.mul(tmat).row_list()
+        eta_f = sparse(eta.mul(tmat).row_list())
         for p in pairs:
             # A eta f(p_k) = eta C f(p_k) = eta f(A p_k)
-            v = [eta_t[s][p] for s in range(n)]
-            a_eta = [[zero] * (u * n) + v + [zero] * ((n - 1 - u) * n) for u in range(n)]
-            rows += axpy(a_eta, minus_one, moved(eta_t, p))
-    if not rows:
-        rows = [[zero] * (n * n)]  # no condition: all of End(M)
+            for u, form in enumerate(moved(eta_f, p)):
+                keep({u * n + s: row[p] for s, row in enumerate(eta_f) if p in row}, form)
+    equations.pop((), None)
+    # with no condition left, all of End(M)
+    rows = [[row.get(u, zero) for u in range(n * n)] for row in map(dict, equations or [()])]
     kern = kernel_basis(Matrix.from_rows(d, rows))
     algebra = EndoAlgebra.from_vectors(d, n, [kern.col(c) for c in range(kern.cols)])
     # C = [f(A p_k)] B^-1 with B = [f(p_k)], both read at the pivots of
     # the echelon image rows, which are the image-row coordinates
     image = Subspace.span(d, image_submodule(f), f.n.dim)
     b_inv = inverse(tmat.submatrix(image.pivots, pairs))
-    at_lead = [Matrix.from_rows(d, moved([tmat.row(t) for t in image.pivots], p)) for p in pairs]
+
+    def at_lead(a, q):
+        i, j = divmod(q, n)
+        value = f.combine((a.get(l, i), l, j) for l in range(n))
+        return [value[t] for t in image.pivots]
+
     action = tuple(
-        Matrix.from_cols(d, [form.apply(a.entries) for form in at_lead]).mul(b_inv)
-        for a in algebra.basis
+        Matrix.from_cols(d, [at_lead(a, p) for p in pairs]).mul(b_inv) for a in algebra.basis
     )
     return ScalarRingReport(algebra, image, action, False)
 

@@ -324,3 +324,40 @@ def test_width_search_bound_below_width():
 
     with pytest.raises(SearchBoundExceeded):
         width(outer_product_gf3(3, 3), search_bound=2)
+
+
+def _z_domain_map(m_desc, n_desc, entries):
+    """A map on the f.g. Z-module m_desc with the given {(i, j): entry}."""
+    zero = (0,) * len(n_desc)
+    tensor = tuple(
+        tuple(entries.get((i, j), zero) for j in range(len(m_desc))) for i in range(len(m_desc))
+    )
+    return BilinearMap(
+        module_carrier(ModuleDesc(m_desc)), module_carrier(ModuleDesc(n_desc)), tensor
+    )
+
+
+@pytest.mark.parametrize(
+    "n_desc, entry",
+    [
+        ((rational_line(), free_line()), (1, 0)),
+        ((rational_line(), free_line()), (Fraction(1, 2), 5)),
+        ((rational_line(), rational_line()), (Fraction(2, 3), 0)),
+        ((rational_line(),), (Fraction(-1, 3),)),
+    ],
+    ids=["q+z", "q+z-fraction", "q+q", "q"],
+)
+def test_kernel_over_z_with_rational_codomain_lines(n_desc, entry):
+    """A rational line of N is an exact zero condition with no relation;
+    M = Z + Z/2 with f(m0, m0) the one nonzero value has C(f) = <m1>."""
+    f = _z_domain_map((free_line(), cyclic(2)), n_desc, {(0, 0): entry})
+    assert two_sided_kernel(f) == [(0, 1)]
+
+
+def test_kernel_over_z_clears_each_rational_row_of_denominators():
+    # f(x, y) = (c.x)(c.y) with c = (1/2, 1/3): C(f) is 3 x0 + 2 x1 = 0
+    c = (Fraction(1, 2), Fraction(1, 3))
+    entries = {(i, j): (c[i] * c[j],) for i in range(2) for j in range(2)}
+    f = _z_domain_map((free_line(), free_line()), (rational_line(),), entries)
+    (gen,) = two_sided_kernel(f)
+    assert gen in ((2, -3), (-2, 3))

@@ -297,6 +297,44 @@ def test_non_utf8_document_is_invalid_input(tmp_path):
     assert "(line 1, column 1)" in err
 
 
+def test_lone_surrogate_escape_is_invalid_input(tmp_path):
+    # json.dumps writes a lone surrogate as the escape \ud800
+    doc = json.loads(fixture_text("h3"))
+    doc["basis"][0] = "\ud800"
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path), "--format", "text", "--witnesses")
+    assert (code, out) == (1, "")
+    assert err.startswith("ringlab: invalid input: lone UTF-16 surrogate \\ud800 (line 1, column")
+    assert "Traceback" not in err
+    doc["basis"][0] = "\U0001f600"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path), "--format", "text", "--witnesses")
+    assert (code, err) == (0, "")
+    assert "\U0001f600" in out
+    out.encode("utf-8")
+
+
+@pytest.mark.parametrize("codomain", [["Q", "Z"], ["Q", "Q"]])
+def test_kernel_over_z_with_a_rational_codomain_line(tmp_path, codomain):
+    """M = Z + Z/2 into N with a Q line: C(f) is found; the pipeline stops
+    later, at a stage that needs the torsion split first."""
+    doc = {
+        "kind": "bilinear",
+        "domain": "Z",
+        "summands": ["Z", {"torsion": 2}],
+        "basis": ["m0", "m1"],
+        "codomain": {"summands": codomain, "basis": ["n0", "n1"]},
+        "table": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+    }
+    path = tmp_path / "zq.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ringlab: pipeline error at stage")
+    assert "two_sided_kernel" not in err and "Traceback" not in err
+
+
 def test_deeply_nested_document_is_parse_error():
     import tempfile
 

@@ -48,6 +48,12 @@ def test_parse_error_carries_position():
         ('"\\u00', "four hex digits, found '00'", 4),
         ('"1\\', "unterminated string", 4),
         ('"\\', "unterminated string", 3),
+        ('{"kind": "\\ud800"}', "lone UTF-16 surrogate \\ud800", 13),
+        ('"ab\\uDC00"', "lone UTF-16 surrogate \\udc00", 6),
+        ('"\\ud83d\\u0041"', "lone UTF-16 surrogate \\ud83d", 4),
+        ('"\\ud83dx"', "lone UTF-16 surrogate \\ud83d", 4),
+        ('"\\ud83d\\ud83d\\ude00"', "lone UTF-16 surrogate \\ud83d", 4),
+        ('"\\ud83d\\ude"', "four hex digits, found 'de\"'", 10),
     ],
 )
 def test_bad_and_cut_off_escapes_are_parse_errors(text, message, col):
@@ -59,6 +65,10 @@ def test_bad_and_cut_off_escapes_are_parse_errors(text, message, col):
 
 def test_unicode_escapes_decode():
     assert parse_json('"\\u00e9\\u00C9x"').value == "\u00e9\u00c9x"
+
+
+def test_surrogate_pair_escapes_join_into_one_character():
+    assert parse_json('"a\\ud83d\\ude00b\\uDBFF\\uDFFF"').value == "a\U0001f600b\U0010ffff"
 
 
 def test_float_literals_rejected():

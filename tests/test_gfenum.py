@@ -1,5 +1,6 @@
-"""The chunked GF(p) enumerations against plain-Python loops, and the
-bitmap width search against the row-set search it replaced."""
+"""The chunked GF(p) enumerations against plain-Python loops, the bitmap
+width search against the row-set search it replaced, and the product-key
+width search against the bitmap search on deduplicated products."""
 
 import itertools
 import random
@@ -182,6 +183,7 @@ def test_closure_width_refuses_work_where_the_row_set_search_did(case, cap):
         patch.setattr(gfenum, "_ENUM_CAP", cap)
         expected = outcome(head_closure_width, values, gens, p, 16)
         assert outcome(gfenum.closure_width, values, gens, p, 16) == expected
+        assert outcome(gfenum.product_width, tensor, gens, p, 16) == expected
 
 
 def test_closure_width_allows_a_step_of_exactly_cap_sums(monkeypatch):
@@ -199,6 +201,9 @@ def test_closure_width_refuses_a_span_past_the_cap_before_enumerating():
         gfenum.closure_width(gens, gens, 2, 4)
 
 
+PACK_ROWS = gfenum.pack_rows
+
+
 def test_closure_width_sorts_and_dedupes_nothing(monkeypatch):
     p = 3
     tensor = tuple(
@@ -208,7 +213,11 @@ def test_closure_width_sorts_and_dedupes_nothing(monkeypatch):
     gens = echelon_rows(p, [e for row in tensor for e in row], 9)
     for name in ("unique", "argsort", "sort", "isin", "concatenate"):
         monkeypatch.setattr(np, name, None)
+    for name in ("unique_rows", "products", "pack_rows"):
+        monkeypatch.setattr(gfenum, name, None)
     # every 3x3 matrix over GF(3) is a sum of three rank-one matrices
+    assert gfenum.product_width(tensor, gens, p, 16) == 3
+    monkeypatch.setattr(gfenum, "pack_rows", PACK_ROWS)
     assert gfenum.closure_width(values, gens, p, 16) == 3
 
 
@@ -218,6 +227,106 @@ def test_closure_width_refuses_values_outside_the_echelon_span():
     # (1, 1, 0) is in the span of these rows, but they are not reduced
     with pytest.raises(InvariantViolation, match="width search"):
         gfenum.closure_width([(1, 1, 0)], [(1, 1, 0), (0, 1, 0)], 3, 4)
+
+
+# -- product_width ----------------------------------------------------------------------
+
+
+def head_bitmap_width(values, gens, p, bound):
+    """The body closure_width had when product_width came in, loop and all;
+    run on products(tensor, p) it is the width search product_width replaced."""
+    gens = np.asarray(gens, dtype=np.int64) % p
+    r = len(gens)
+    if p**r > gfenum._ENUM_CAP:
+        raise EnumerationTooLarge(f"a span of {p}^{r} elements exceeds the enumeration cap")
+    values = np.asarray(values, dtype=np.int64) % p
+    pivots = (gens != 0).argmax(axis=1)
+    coords = values[:, pivots]
+    if not (
+        np.array_equal(gens[:, pivots], np.eye(r, dtype=np.int64))
+        and np.array_equal(coords @ gens % p, values)
+    ):
+        raise InvariantViolation("width search")
+    reach = np.zeros(p**r, dtype=bool)
+    reach[gfenum.pack_rows(coords, p)] = True
+    value_keys = np.flatnonzero(reach)
+    groups = gfenum._digit_groups(p, r)
+    k = 1
+    while not reach.all():
+        k += 1
+        if k > bound:
+            return None
+        keys = np.flatnonzero(reach)
+        if len(keys) * len(value_keys) > gfenum._ENUM_CAP:
+            raise EnumerationTooLarge("sumset exceeds the enumeration cap")
+        reach = gfenum._add_keys(keys, value_keys, groups, p, len(reach))
+    return k
+
+
+def head_product_width(tensor, gens, p, bound):
+    return head_bitmap_width(gfenum.products(tensor, p), gens, p, bound)
+
+
+def tensor_of(p, m, n, entries):
+    """The int tensor with the given {(i, j): entry}, zero elsewhere."""
+    return tuple(tuple(entries.get((i, j), (0,) * n) for j in range(m)) for i in range(m))
+
+
+# m = 1; a degenerate map (b_2 multiplies to zero); a non-full image (one
+# codomain line unused); the 3x3 outer product over GF(3), of width 3
+PRODUCT_CASES = {
+    "m1-gf5": (5, tensor_of(5, 1, 2, {(0, 0): (2, 3)})),
+    "degenerate-gf3": (3, tensor_of(3, 3, 2, {(0, 1): (1, 0), (1, 0): (2, 0), (1, 1): (0, 1)})),
+    "not-full-gf2": (2, tensor_of(2, 2, 4, {(0, 0): (1, 0, 0, 0), (1, 1): (0, 1, 1, 0)})),
+    "outer3x3-gf3": (
+        3,
+        tuple(
+            tuple(tuple(int(t == 3 * i + j) for t in range(9)) for j in range(3))
+            for i in range(3)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", (1, 2, 16))
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_product_width_on_named_maps(name, bound):
+    p, tensor = PRODUCT_CASES[name]
+    gens = echelon_rows(p, [e for row in tensor for e in row], len(tensor[0][0]))
+    expected = outcome(head_product_width, tensor, gens, p, bound)
+    assert outcome(gfenum.product_width, tensor, gens, p, bound) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensors(), st.sampled_from((1, 2, 16)))
+def test_product_width_matches_the_search_on_deduplicated_products(case, bound):
+    p, tensor, gens = case
+    expected = head_product_width(tensor, gens, p, bound)
+    assert gfenum.product_width(tensor, gens, p, bound) == expected
+
+
+def test_product_width_keys_past_one_chunk(monkeypatch):
+    p, tensor = PRODUCT_CASES["outer3x3-gf3"]
+    gens = echelon_rows(p, [e for row in tensor for e in row], 9)
+    # 27 values of y per chunk row: each chunk holds one or two x
+    monkeypatch.setattr(gfenum, "_CHUNK_ROWS", 50)
+    assert gfenum.product_width(tensor, gens, p, 16) == 3
+
+
+def test_product_width_refuses_entries_outside_the_echelon_span():
+    tensor = tensor_of(3, 2, 3, {(0, 0): (1, 0, 2), (1, 0): (0, 1, 0)})
+    with pytest.raises(InvariantViolation, match="width search"):
+        gfenum.product_width(tensor, [(1, 0, 2)], 3, 4)
+    # rows spanning the entries, but not reduced
+    with pytest.raises(InvariantViolation, match="width search"):
+        gfenum.product_width(tensor, [(1, 1, 2), (0, 1, 0)], 3, 4)
+
+
+def test_product_width_refuses_a_span_past_the_cap_before_enumerating():
+    gens = [tuple(int(i == j) for j in range(26)) for i in range(26)]
+    tensor = tensor_of(2, 1, 26, {(0, 0): gens[0]})
+    with pytest.raises(EnumerationTooLarge, match="2\\^26"):
+        gfenum.product_width(tensor, gens, 2, 4)
 
 
 def _gf3_ring(seed, dim):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringlab.bilinear import (
     BilinearMap,
@@ -16,6 +17,7 @@ from ringlab.errors import DegenerateInput
 from ringlab.linalg import Matrix, inverse, kernel_basis
 from ringlab.rings import RingPresentation, annihilator, foundation_addition, square_ideal
 from ringlab.scalars import (
+    centroid_of,
     decompose_via_scalars,
     largest_scalar_action,
     _stabilizer_inside,
@@ -373,3 +375,135 @@ def test_eta_linearity_cuts_p_of_the_quotient_map():
     rep = largest_scalar_action(r.as_bilinear(), annihilator(r), square_ideal(r))
     assert not rep.eta.is_zero()
     assert (rep.algebra.rank, p_of_f(rep.quotient_map).algebra.rank) == (2, 3)
+
+
+# -- the sparse centroid system against the dense one it replaced -----------------
+
+
+def dense_centroid_of(f, eta=None):
+    """The replaced body of centroid_of: every condition as a dense row of
+    width n^2, zero and repeated rows included."""
+    from ringlab.bilinear import Subspace, image_submodule
+    from ringlab.linalg import rref
+    from ringlab.scalars import EndoAlgebra, ScalarRingReport
+
+    d = f.m.domain
+    n = f.m.dim
+    zero, minus_one = d.zero(), d.neg(d.one())
+
+    def moved(vals, q, left=True):
+        i, j = divmod(q, n)
+        out = [[zero] * (n * n) for _ in vals]
+        for row, v in zip(out, vals):
+            for l in range(n):
+                u, w = (l * n + i, l * n + j) if left else (l * n + j, i * n + l)
+                row[u] = v[w]
+        return out
+
+    def axpy(xs, c, ys):
+        out = [list(x) for x in xs]
+        for acc, y in zip(out, ys):
+            d.add_scaled(acc, c, y, [t for t, v in enumerate(y) if not d.is_zero(v)])
+        return out
+
+    tmat = tensor_matrix(f)
+    reduced, pairs, r = rref(tmat)
+    coef = reduced.row_list()[:r]
+    images = [moved(coef, p) for p in pairs]
+    rows = []
+    for q in range(n * n):
+        scaled = [[zero] * (n * n) for _ in range(r)]
+        for row, image in zip(coef, images):
+            if not d.is_zero(row[q]):
+                scaled = axpy(scaled, row[q], image)
+        rows += axpy(scaled, minus_one, moved(coef, q))
+        rows += axpy(scaled, minus_one, moved(coef, q, left=False))
+    if eta is not None:
+        eta_t = eta.mul(tmat).row_list()
+        for p in pairs:
+            v = [eta_t[s][p] for s in range(n)]
+            a_eta = [[zero] * (u * n) + v + [zero] * ((n - 1 - u) * n) for u in range(n)]
+            rows += axpy(a_eta, minus_one, moved(eta_t, p))
+    if not rows:
+        rows = [[zero] * (n * n)]
+    kern = kernel_basis(Matrix.from_rows(d, rows))
+    algebra = EndoAlgebra.from_vectors(d, n, [kern.col(c) for c in range(kern.cols)])
+    image = Subspace.span(d, image_submodule(f), f.n.dim)
+    b_inv = inverse(tmat.submatrix(image.pivots, pairs))
+    at_lead = [Matrix.from_rows(d, moved([tmat.row(t) for t in image.pivots], p)) for p in pairs]
+    action = tuple(
+        Matrix.from_cols(d, [form.apply(a.entries) for form in at_lead]).mul(b_inv)
+        for a in algebra.basis
+    )
+    return ScalarRingReport(algebra, image, action, False)
+
+
+def _sqrt2_element(draw):
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return QSQRT2.add(QSQRT2.from_int(a), QSQRT2.mul(QSQRT2.from_int(b), QSQRT2.generator()))
+
+
+CENTROID_DOMAINS = {
+    "GF(2)": (PrimeField(2), lambda draw: draw(st.integers(0, 1))),
+    "GF(7)": (PrimeField(7), lambda draw: draw(st.integers(0, 6))),
+    "Q ints": (QQ, lambda draw: draw(st.integers(-3, 3))),
+    "Q fractions": (
+        QQ,
+        lambda draw: QQ.div(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3)))),
+    ),
+    "Q(sqrt 2)": (QSQRT2, _sqrt2_element),
+}
+
+
+@st.composite
+def centroid_cases(draw):
+    """(f, eta or None): a small map over one of the domains, with most
+    entries zero or a basis vector, so that zero and repeated equations,
+    degenerate maps and non-full images all occur."""
+    d, element = CENTROID_DOMAINS[draw(st.sampled_from(sorted(CENTROID_DOMAINS)))]
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    zero = d.zero()
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "zero", "unit", "any")))
+        if kind == "zero":
+            return (zero,) * n
+        if kind == "unit":
+            t = draw(st.integers(0, n - 1))
+            return tuple(d.one() if s == t else zero for s in range(n))
+        return tuple(element(draw) for _ in range(n))
+
+    tensor = tuple(tuple(entry() for _ in range(m)) for _ in range(m))
+    f = BilinearMap(field_carrier(d, m), field_carrier(d, n), tensor)
+    eta = None
+    if draw(st.booleans()):
+        eta = Matrix.from_rows(d, [[element(draw) for _ in range(n)] for _ in range(m)])
+    return f, eta
+
+
+@settings(max_examples=200, deadline=None)
+@given(centroid_cases())
+def test_centroid_of_matches_the_dense_system(case):
+    f, eta = case
+    got, want = centroid_of(f, eta), dense_centroid_of(f, eta)
+    assert repr([a.entries for a in got.algebra.basis]) == repr(
+        [a.entries for a in want.algebra.basis]
+    )
+    assert repr([c.entries for c in got.action_on_image]) == repr(
+        [c.entries for c in want.action_on_image]
+    )
+    assert got.image == want.image
+
+
+@pytest.mark.parametrize("name", ["R3-q", "h3x2+q", "q-mul4"])
+def test_centroid_of_matches_the_dense_system_on_golden_rings(name):
+    r = golden_ring(name)
+    identity = Matrix.identity(r.carrier.domain, r.dim)
+    for eta in (None, identity):
+        got, want = centroid_of(r.as_bilinear(), eta), dense_centroid_of(r.as_bilinear(), eta)
+        assert repr([a.entries for a in got.algebra.basis]) == repr(
+            [a.entries for a in want.algebra.basis]
+        )
+        assert repr([c.entries for c in got.action_on_image]) == repr(
+            [c.entries for c in want.action_on_image]
+        )
