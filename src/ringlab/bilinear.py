@@ -14,6 +14,10 @@ certificate in scalars and lie's ad rows read it, not the dense tensor.
 Subspace is the one echelon type over a field: every span, membership,
 coordinate, complement, intersection and greedy basis extension in
 ringlab goes through it, and only it runs rref on a span.
+
+Carrier.span is the one place that picks a span type: a Subspace over a
+field, a modules.Lattice over Z, a BlockSpan of the two on a mixed
+carrier.  All three answer rows, contains, intersect and full.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .modules import (
     cyclic,
     divisible_bounded_split,
     free_line,
+    project_coords,
     rational_line,
     reassemble_coords,
     split_complement,
@@ -98,6 +103,14 @@ class Carrier:
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.add(a, self.neg(b)))
+
+    def span(self, vectors):
+        """The submodule spanned by vectors, in the carrier's span type."""
+        if self.kind == FIELD:
+            return Subspace.span(self.domain, vectors, self.dim)
+        if self.kind == INTEGER:
+            return Lattice.span(self.desc, vectors)
+        return BlockSpan.span(self.desc, vectors)
 
     def describe(self) -> str:
         if self.kind == FIELD:
@@ -286,6 +299,10 @@ class Subspace:
     def independent(self) -> bool:
         return len(self.rows) == len(self.basis)
 
+    @property
+    def full(self) -> bool:
+        return len(self.rows) == self.width
+
     def _echelon_coords(self, v):
         """v read at the pivots, or None when those entries do not rebuild v."""
         d = self.domain
@@ -346,6 +363,48 @@ class Subspace:
             return []
         _, pivots, _ = rref(Matrix.from_cols(self.domain, cols))
         return [p - len(self.rows) for p in pivots[len(self.rows):]]
+
+
+@dataclass(frozen=True)
+class BlockSpan:
+    """A submodule of a mixed formal sum without free lines, blockwise: a
+    Subspace over Q on the divisible lines, a Lattice on the bounded ones.
+    Ann(R), R^2 and Delta(R) on a mixed carrier are such sums, since a
+    divisible and a bounded basis vector multiply to 0."""
+
+    ambient: ModuleDesc
+    divisible: Subspace
+    bounded: Lattice
+
+    @staticmethod
+    def span(ambient: ModuleDesc, vectors) -> "BlockSpan":
+        _, m_b, (d_idx, b_idx) = divisible_bounded_split(ambient)
+        vectors = list(vectors)
+        return BlockSpan(
+            ambient,
+            Subspace.span(QQ, [project_coords(v, d_idx) for v in vectors], len(d_idx)),
+            Lattice.span(m_b, [project_coords(v, b_idx) for v in vectors]),
+        )
+
+    def _parts(self):
+        m = self.ambient
+        return (m.divisible_part, self.divisible), (m.bounded_part, self.bounded)
+
+    @cached_property
+    def rows(self) -> tuple:
+        m = self.ambient
+        return tuple(reassemble_coords(m, [(idx, r)]) for idx, p in self._parts() for r in p.rows)
+
+    def contains(self, x) -> bool:
+        return all(p.contains(project_coords(x, idx)) for idx, p in self._parts())
+
+    def intersect(self, other: "BlockSpan") -> "BlockSpan":
+        d, b = self.divisible.intersect(other.divisible), self.bounded.intersect(other.bounded)
+        return BlockSpan(self.ambient, d, b)
+
+    @property
+    def full(self) -> bool:
+        return self.divisible.full and self.bounded.full
 
 
 # ringbench's trace spans wrap these three by name; ringlab itself calls Subspace
@@ -453,28 +512,16 @@ def two_sided_kernel(f: BilinearMap):
 
 
 def image_submodule(f: BilinearMap):
-    """Canonical generators of <f(M, M)> inside N."""
-    entries = [entry for _, entry in f.entries()]
-    if f.n.kind == FIELD:
-        return list(Subspace.span(f.n.domain, entries, f.n.dim).rows)
-    if f.n.kind == INTEGER:
-        return list(Lattice.span(f.n.desc, entries).rows)
-    f_d, f_c, (d_idx, b_idx) = torsion_split(f)
-    return [
-        reassemble_coords(f.n.desc, [(idx[1], gen)])
-        for idx, part in ((d_idx, f_d), (b_idx, f_c))
-        for gen in image_submodule(part)
-    ]
+    """Canonical generators of <f(M, M)> inside N.  On a mixed N the image
+    is blockwise only when M splits too, so an M with a free line is
+    refused first."""
+    if f.n.kind == MIXED:
+        divisible_bounded_split(_desc_of(f.m))
+    return list(f.n.span([entry for _, entry in f.entries()]).rows)
 
 
 def is_full(f: BilinearMap) -> bool:
-    gens = image_submodule(f)
-    if f.n.kind == FIELD:
-        return len(gens) == f.n.dim
-    if f.n.kind == INTEGER:
-        return Lattice.span(f.n.desc, gens).quotient_invariants() == ()
-    f_d, f_c, _ = torsion_split(f)
-    return is_full(f_d) and is_full(f_c)
+    return f.n.span(image_submodule(f)).full
 
 
 def is_nondegenerate(f: BilinearMap) -> bool:
@@ -557,8 +604,8 @@ def foundation_addition_split(f: BilinearMap) -> BilinearSplit:
     image_gens = image_submodule(f)
     if f.m.kind == FIELD:
         d = f.m.domain
-        m_found = Subspace.span(d, kernel_gens, f.m.dim).complement()
-        n_comp = Subspace.span(d, image_gens, f.n.dim).complement()
+        m_found = f.m.span(kernel_gens).complement()
+        n_comp = f.n.span(image_gens).complement()
         foundation = BilinearMap(
             field_carrier(d, len(m_found)),
             field_carrier(d, len(image_gens)),
@@ -631,7 +678,7 @@ def verify_reassembly(f: BilinearMap, blocks) -> bool:
     """
     if f.m.kind == FIELD:
         rows = [row for _, m_rows, _ in blocks for row in m_rows]
-        if len(rows) != f.m.dim or not Subspace.span(f.m.domain, rows, f.m.dim).independent:
+        if len(rows) != f.m.dim or not f.m.span(rows).independent:
             return False
     for i, (tensor, m_rows, n_rows) in enumerate(blocks):
         for j, (_, other_rows, _) in enumerate(blocks):

@@ -29,6 +29,7 @@ from .errors import (
     NotLie,
     NotNilpotent,
     UnsupportedDomain,
+    ValidationError,
 )
 from .linalg import Matrix
 from .rings import RingDecomposition, RingPresentation, annihilator, decompose_char0
@@ -293,7 +294,7 @@ def group_commutator(
 def iterated_commutator(gs) -> CommutatorReport:
     """Left-normed [g_1, ..., g_n] with the bracket-chain certificate."""
     if len(gs) < 2:
-        raise ValueError("need at least two elements")
+        raise ValidationError("an iterated commutator needs at least two elements")
     l = gs[0].algebra
     report = group_commutator(gs[0], gs[1])
     comm = report.commutator

@@ -335,6 +335,10 @@ class Lattice:
         free_rank = (self.ambient.dim - r) + sum(1 for x in diag if x == 0)
         return tuple(torsion) + (0,) * free_rank
 
+    @property
+    def full(self) -> bool:
+        return self.quotient_invariants() == ()
+
 
 def _unimodular_inverse(u: Matrix) -> Matrix:
     """Exact integer inverse of a unimodular integer matrix."""

@@ -62,7 +62,7 @@ class Poly:
 
     def leading(self):
         if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
+            raise InvariantViolation("leading coefficient check: the polynomial is zero")
         return self.coeffs[-1]
 
     def monic(self) -> "Poly":
@@ -91,7 +91,7 @@ class Poly:
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
         if not r.is_zero():
-            raise ValueError("division is not exact")
+            raise InvariantViolation("exact division check: the remainder is nonzero")
         return q
 
     def derivative(self) -> "Poly":

@@ -44,7 +44,7 @@ from .bilinear import (
     two_sided_kernel,
     verify_reassembly,
 )
-from .domains import Domain, Extension, PrimeField, QQ, Rationals
+from .domains import Domain, Extension, PrimeField, Rationals
 from .errors import (
     DegenerateInput,
     EnumerationTooLarge,
@@ -55,14 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix
-from .modules import (
-    Lattice,
-    divisible_bounded_split,
-    project_coords,
-    reassemble_coords,
-    split_complement,
-    submodule_adapted_basis,
-)
+from .modules import split_complement, submodule_adapted_basis
 from .scalars import (
     EndoAlgebra,
     ScalarActionReport,
@@ -180,72 +173,34 @@ def annihilator(r: RingPresentation):
 def square_ideal(r: RingPresentation):
     """Canonical generators of R^2, closed under multiplication until stable.
 
-    Over a field or Z the linear span of all basis products is already an
-    ideal, so the closure loop stabilizes immediately; it is kept as a
-    certificate.
+    The span of all basis products is already an ideal, so the closure
+    stabilizes at once; it is kept as a certificate.
     """
+    return _ideal_closure(r, image_submodule(r.as_bilinear()))
+
+
+def _ideal_closure(r: RingPresentation, gens):
+    """The ideal generated by the canonical generators gens: re-span them
+    with their products by each basis vector on either side until stable."""
     f = r.as_bilinear()
-    gens = image_submodule(f)
     basis = r._basis()
     while True:
-        extra = []
-        for g in gens:
-            for b in basis:
-                extra.append(f.evaluate(g, b))
-                extra.append(f.evaluate(b, g))
-        new_gens = _span_canonical(r.carrier, list(gens) + extra)
+        extra = [p for g in gens for b in basis for p in (f.evaluate(g, b), f.evaluate(b, g))]
+        new_gens = list(r.carrier.span(list(gens) + extra).rows)
         if new_gens == gens:
             return gens
         gens = new_gens
 
 
-def _span_canonical(carrier: Carrier, vectors):
-    if carrier.kind == FIELD:
-        return list(Subspace.span(carrier.domain, vectors, carrier.dim).rows)
-    if carrier.kind == INTEGER:
-        return list(Lattice.span(carrier.desc, vectors).rows)
-    # mixed: canonicalize blockwise
-    desc = carrier.desc
-    m_d, m_b, (d_idx, b_idx) = divisible_bounded_split(desc)
-    d_rows = Subspace.span(QQ, [project_coords(v, d_idx) for v in vectors], len(d_idx)).rows
-    b_rows = Lattice.span(m_b, [project_coords(v, b_idx) for v in vectors]).rows
-    return [reassemble_coords(desc, [(d_idx, row)]) for row in d_rows] + [
-        reassemble_coords(desc, [(b_idx, row)]) for row in b_rows
-    ]
-
-
-def _membership(carrier: Carrier, gens):
-    """The membership test of the submodule spanned by gens."""
-    if carrier.kind == FIELD:
-        return Subspace.span(carrier.domain, gens, carrier.dim).contains
-    if carrier.kind == INTEGER:
-        return Lattice.span(carrier.desc, gens).contains
-    m_d, m_b, (d_idx, b_idx) = divisible_bounded_split(carrier.desc)
-    d_span = Subspace.span(QQ, [project_coords(g, d_idx) for g in gens], len(d_idx))
-    b_span = Lattice.span(m_b, [project_coords(g, b_idx) for g in gens])
-    return lambda x: d_span.contains(project_coords(x, d_idx)) and b_span.contains(
-        project_coords(x, b_idx)
-    )
-
-
-def _intersection(carrier: Carrier, gens_a, gens_b):
-    if carrier.kind == FIELD:
-        d, dim = carrier.domain, carrier.dim
-        return list(Subspace.span(d, gens_a, dim).intersect(Subspace.span(d, gens_b, dim)).rows)
-    if carrier.kind == INTEGER:
-        desc = carrier.desc
-        return list(Lattice.span(desc, gens_a).intersect(Lattice.span(desc, gens_b)).rows)
-    raise UnsupportedDomain("intersection over mixed carriers: split the torsion first")
-
-
 def delta_ideal(r: RingPresentation):
     """Delta(R) = Ann(R) intersect R^2."""
-    return _intersection(r.carrier, annihilator(r), square_ideal(r))
+    span = r.carrier.span
+    return list(span(annihilator(r)).intersect(span(square_ideal(r))).rows)
 
 
 def is_regular(r: RingPresentation) -> bool:
     """Ann(R) <= R^2."""
-    return all(map(_membership(r.carrier, square_ideal(r)), annihilator(r)))
+    return all(map(r.carrier.span(square_ideal(r)).contains, annihilator(r)))
 
 
 # -- verbal ideals ----------------------------------------------------------------
@@ -385,18 +340,7 @@ def verbal_ideal(r: RingPresentation, term: Word | str) -> VerbalIdealReport:
                 "available over small prime fields only"
             )
         values = _word_values(r, term, "verbal evaluation")
-    gens = _span_canonical(r.carrier, values)
-    # ideal closure
-    while True:
-        extra = []
-        for g in gens:
-            for b in basis:
-                extra.append(f.evaluate(g, b))
-                extra.append(f.evaluate(b, g))
-        new_gens = _span_canonical(r.carrier, list(gens) + extra)
-        if new_gens == gens:
-            break
-        gens = new_gens
+    gens = _ideal_closure(r, list(r.carrier.span(values).rows))
     width_report = None
     if r.carrier.kind == FIELD:
         width_report = _verbal_width(r, term, gens)
@@ -458,7 +402,7 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
     """
     ann = annihilator(r)
     sq = square_ideal(r)
-    delta = _intersection(r.carrier, ann, sq)
+    delta = list(r.carrier.span(ann).intersect(r.carrier.span(sq)).rows)
     if r.carrier.kind == FIELD:
         d = r.carrier.domain
         # extend delta to ann: the added vectors form R_0

@@ -1,9 +1,12 @@
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringlab.cli import main
 from ringlab.selftest import FIXTURE_NAMES, fixture_text
@@ -335,6 +338,46 @@ def test_kernel_over_z_with_a_rational_codomain_line(tmp_path, codomain):
     assert "two_sided_kernel" not in err and "Traceback" not in err
 
 
+def test_mixed_ring_reaches_the_central_split(tmp_path):
+    """Q x GF(2) on the carrier Q + Z/2: Delta(R) is the blockwise
+    intersection of Ann(R) and R^2, and the report ends in the central
+    split."""
+    doc = {
+        "kind": "ring",
+        "domain": "Z",
+        "summands": ["Q", {"torsion": 2}],
+        "basis": ["e0", "e1"],
+        "table": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    }
+    path = tmp_path / "q-z2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, err) == (0, "")
+    assert "square_ideal: [e0, e1]\ndelta: (none)\nis_regular: True\n" in out
+    assert "central_split:\n  divisible_dim: 1\n  bounded_dim: 1\n" in out
+
+
+def test_free_line_into_a_mixed_codomain_is_refused(tmp_path):
+    """M = Z into N = Q + Z/2 with f(m0, m0) = (1, 1): the image {(n, n mod
+    2)} is not blockwise, so image_submodule refuses M's free line."""
+    doc = {
+        "kind": "bilinear",
+        "domain": "Z",
+        "summands": ["Z"],
+        "basis": ["m0"],
+        "codomain": {"summands": ["Q", {"torsion": 2}], "basis": ["n0", "n1"]},
+        "table": [[[1, 1]]],
+    }
+    path = tmp_path / "z-q-z2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("analyze", str(path)) == (
+        2,
+        "",
+        "ringlab: pipeline error at stage 'image_submodule': free integer line at "
+        "position(s) [0]: no divisible + bounded decomposition\n",
+    )
+
+
 def test_deeply_nested_document_is_parse_error():
     import tempfile
 
@@ -443,3 +486,71 @@ def test_a_failed_j_series_check_names_its_stage(monkeypatch):
         "ringlab: pipeline error at stage 'j_series': "
         "J-series check: a layer does not shrink\n"
     )
+
+
+LINES = ("Q", "Z", {"torsion": 2}, {"torsion": 3})
+
+
+def _step(si, sj, line):
+    """Coordinate `line` of f(e_i, e_j) must be a multiple of this (0: be
+    0) for Z-bilinearity: a divisible index asks for divisible support, a
+    torsion index kills the entry."""
+    orders = [s["torsion"] for s in (si, sj) if isinstance(s, dict)]
+    if "Q" in (si, sj):
+        return int(line == "Q" and not orders)
+    if isinstance(line, dict):
+        m = line["torsion"]
+        return lcm(*(m // gcd(m, q) for q in orders))
+    return int(not orders)
+
+
+@st.composite
+def documents(draw):
+    """A ring, bilinear or lie document of dimension at most 3 over GF(2),
+    GF(3), Q or Z, the Z ones on free, torsion, rational and mixed lines.
+    Half the Z tables keep to what Z-bilinearity allows; the rest, like
+    the field tables, are small random entries."""
+    kind = draw(st.sampled_from(("ring", "bilinear", "lie")))
+    domain = draw(st.sampled_from(({"gf": 2}, {"gf": 3}, "Q", "Z")))
+    dim = draw(st.integers(1, 3))
+    doc = {"kind": kind, "domain": domain, "basis": [f"e{i}" for i in range(dim)]}
+    lines = draw(st.lists(st.sampled_from(LINES), min_size=dim, max_size=dim))
+    codomain = lines
+    if kind == "bilinear":
+        width = draw(st.integers(1, 3))
+        codomain = draw(st.lists(st.sampled_from(LINES), min_size=width, max_size=width))
+        doc["codomain"] = {"basis": [f"n{i}" for i in range(width)]}
+        if domain == "Z":
+            doc["codomain"]["summands"] = codomain
+    if domain == "Z":
+        doc["summands"] = lines
+    lawful = domain == "Z" and draw(st.booleans())
+    values = ("0", "0", "1", "-1", "2", "1/2") if domain == "Q" else (0, 0, 1, -1, 2)
+    doc["table"] = [
+        [
+            [
+                draw(st.sampled_from(values)) * (_step(si, sj, t) if lawful else 1)
+                for t in codomain
+            ]
+            for sj in lines
+        ]
+        for si in lines
+    ]
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(), st.sampled_from(("json", "text")))
+def test_analyze_never_shows_a_traceback(doc, fmt):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        first = run_cli("analyze", path, "--format", fmt)
+        assert first == run_cli("analyze", path, "--format", fmt)
+    code, out, err = first
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    assert bool(err) == (code != 0) and bool(out) == (code == 0)

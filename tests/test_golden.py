@@ -12,7 +12,10 @@ Jacobi fails first at basis triple (1, 2, 3)) exits 2 with the witness on
 stderr, and `analyze` on nonassoc-q reports `associative: false`.
 R5-q (R_5 over Q, dim 16, so 256 unknowns in the centroid system; made by
 `families.ring_doc(random.Random("R5-q:1"), 5, families.Q, "Q")`) pins the
-ring pipeline over Q above the benchmark's R_3.
+ring pipeline over Q above the benchmark's R_3.  h3+z2 (hand-written: the
+Heisenberg ring on x, y, z over Q beside t with t*t = t on a Z/2 line) is
+the one mixed carrier, run as json and as text with `--witnesses`: Ann =
+<z>, R^2 = <z, t>, Delta = <z>, regular, divisible_dim 3, bounded_dim 1.
 Expected bytes live in `golden/expected/`; a case with a nonzero exit code
 also pins its stderr in `<expected>.stderr`.
 
@@ -87,6 +90,8 @@ CASES = (
         ),
         ("nonassoc-q.json", ["analyze", _input("nonassoc-q"), "--format", "json"]),
         ("R5-q.json", ["analyze", _input("R5-q"), "--format", "json"]),
+        ("h3+z2.json", ["analyze", _input("h3+z2"), "--format", "json"]),
+        ("h3+z2.txt", ["analyze", _input("h3+z2"), "--format", "text", "--witnesses"]),
     ]
     + [
         (

@@ -5,7 +5,13 @@ import pytest
 
 from ringlab.bilinear import field_carrier
 from ringlab.domains import Extension, QQ
-from ringlab.errors import AlgebraMismatch, InvariantViolation, NotLie, NotNilpotent
+from ringlab.errors import (
+    AlgebraMismatch,
+    InvariantViolation,
+    NotLie,
+    NotNilpotent,
+    ValidationError,
+)
 from ringlab.lie import (
     GroupElement,
     _dynkin_terms,
@@ -357,6 +363,13 @@ def test_iterated_commutator_chain():
     # [(x,y), x] = -(x,(x,y))
     assert rep.bracket == (0, 0, 0, -1, 0)
     assert rep.identity_iff_bracket_zero
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_iterated_commutator_needs_two_elements(count):
+    g = GroupElement(free_nilpotent_c3(), (1, 0, 0, 0, 0))
+    with pytest.raises(ValidationError, match="at least two elements"):
+        iterated_commutator([g] * count)
 
 
 # -- naturality ---------------------------------------------------------------------

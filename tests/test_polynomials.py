@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab.domains import PrimeField, QQ
-from ringlab.errors import UnsupportedDomain, ValidationError
+from ringlab.errors import InvariantViolation, UnsupportedDomain, ValidationError
 from ringlab.polynomials import Poly, gcd, is_irreducible, poly_factor, pow_mod
 
 
@@ -16,6 +16,17 @@ def expand(factors, domain):
         for _ in range(m):
             out = out.mul(f)
     return out
+
+
+def test_zero_polynomial_has_no_leading_coefficient():
+    with pytest.raises(InvariantViolation, match="leading coefficient check"):
+        Poly(QQ, ()).leading()
+
+
+def test_inexact_division_is_an_invariant_violation():
+    assert qpoly(-1, 0, 1).exact_div(qpoly(1, 1)).eq(qpoly(-1, 1))
+    with pytest.raises(InvariantViolation, match="exact division check"):
+        qpoly(1, 0, 1).exact_div(qpoly(1, 1))
 
 
 def test_factor_x2_minus_1():

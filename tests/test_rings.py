@@ -555,3 +555,5 @@ def test_mixed_carrier_ideals_and_regularity():
     sq = square_ideal(r)
     assert len(sq) == 2  # <z> and the GF(2) line
     assert is_regular(r)
+    # Delta = Ann n R^2, blockwise: <z> on the Q lines, 0 on the Z/2 line
+    assert delta_ideal(r) == [(0, 0, 1, 0)]
