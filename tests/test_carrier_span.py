@@ -270,11 +270,13 @@ def test_intersect_matches_the_old_helper_and_mixed_is_blockwise(case):
     with pytest.raises(UnsupportedDomain):
         old_intersection(c, a, b)
     desc = c.desc
+    m_d, m_b, indices = divisible_bounded_split(desc)
     blocks = []
-    for idx, part in zip(divisible_bounded_split(desc)[2], divisible_bounded_split(desc)[:2]):
-        block = module_carrier(part)
+    for idx, part in zip(indices, (m_d, m_b)):
         meet = old_intersection(
-            block, [project_coords(v, idx) for v in a], [project_coords(v, idx) for v in b]
+            module_carrier(part),
+            [project_coords(v, idx) for v in a],
+            [project_coords(v, idx) for v in b],
         )
         blocks += [reassemble_coords(desc, [(idx, row)]) for row in meet]
     assert got == blocks
