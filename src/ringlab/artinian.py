@@ -14,7 +14,6 @@ ring is a field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .bilinear import Subspace, field_carrier, restrict, rows_through
 from .domains import Domain, Extension, PrimeField, Rationals, poly_xgcd
@@ -28,12 +27,13 @@ from .errors import (
 )
 from .linalg import Matrix, kernel_basis, solve
 from .polynomials import Poly, gcd as poly_gcd, poly_factor
+from .records import record
 
 _PROBE_ROUNDS = 40
 _EXHAUSTIVE_CAP = 2048
 
 
-@dataclass(frozen=True)
+@record
 class CommutativeAlgebra:
     """Unital commutative associative algebra by structure constants.
 
@@ -207,7 +207,7 @@ def radical(a: CommutativeAlgebra):
 # -- local decomposition -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LocalFactor:
     """One local block of a decomposed algebra, in original coordinates."""
 
@@ -498,7 +498,7 @@ def _verify_complete_orthogonal(a: CommutativeAlgebra, idempotents):
 # -- J-series and r_k ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class JSeriesReport:
     layer_dims: tuple  # dim_k(J^i / J^{i+1}) for i = 0, 1, ...
     r_k: int
@@ -590,7 +590,7 @@ def r_k_module(lf: LocalFactor, action) -> int:
 # -- field of representatives ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FieldOfRepresentatives:
     basis: tuple        # rows in block coordinates: 1, s, ..., s^(d-1)
     lifted_root: tuple  # block coordinates of the Hensel-lifted primitive

@@ -23,7 +23,6 @@ carrier.  All three answer rows, contains, intersect and full.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -51,13 +50,14 @@ from .modules import (
     split_complement,
     submodule_adapted_basis,
 )
+from .records import record
 
 FIELD = "field"
 INTEGER = "integer"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@record
 class Carrier:
     """One side of a bilinear map; see the module docstring."""
 
@@ -142,7 +142,7 @@ def module_carrier(desc: ModuleDesc) -> Carrier:
     return Carrier(None, desc.dim, desc)
 
 
-@dataclass(frozen=True)
+@record
 class BilinearMap:
     m: Carrier
     n: Carrier
@@ -272,7 +272,7 @@ def _field_desc(carrier: Carrier) -> ModuleDesc | None:
 # -- subspaces over a field ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A subspace of domain^width spanned by basis, the caller's vectors in
     order: rows are its reduced echelon basis, pivots their lead columns.
@@ -365,7 +365,7 @@ class Subspace:
         return [p - len(self.rows) for p in pivots[len(self.rows):]]
 
 
-@dataclass(frozen=True)
+@record
 class BlockSpan:
     """A submodule of a mixed formal sum without free lines, blockwise: a
     Subspace over Q on the divisible lines, a Lattice on the bounded ones.
@@ -576,7 +576,7 @@ def torsion_split(f: BilinearMap):
 # -- foundation / addition -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BilinearSplit:
     foundation: BilinearMap
     addition: BilinearMap
@@ -696,7 +696,7 @@ def verify_reassembly(f: BilinearMap, blocks) -> bool:
 # -- width ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WidthReport:
     width: int | None
     upper_bound: int

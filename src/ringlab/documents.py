@@ -21,13 +21,12 @@ Schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .artinian import CommutativeAlgebra
 from .bilinear import BilinearMap, Carrier, field_carrier, module_carrier
 from .domains import Domain, Extension, PrimeField, QQ, Rationals, Residues, ZZ
 from .errors import ParseError, ValidationError
 from .modules import ModuleDesc, cyclic, free_line, rational_line
+from .records import field, record
 from .rings import RingPresentation
 
 KINDS = ("bilinear", "ring", "lie", "commutative-algebra", "module")
@@ -39,7 +38,7 @@ MAX_DEPTH = 64
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-@dataclass
+@record(frozen=False)
 class Node:
     value: object
     line: int
@@ -224,7 +223,7 @@ def _plain(node: Node):
     return node.value
 
 
-@dataclass
+@record(frozen=False)
 class InputDocument:
     kind: str
     domain: Domain

@@ -15,7 +15,6 @@ kept as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial
@@ -32,12 +31,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix
+from .records import record
 from .rings import RingDecomposition, RingPresentation, annihilator, decompose_char0
 
 BCH_CLASS_CAP = 6
 
 
-@dataclass(frozen=True)
+@record
 class NilpotentLieAlgebra:
     ring: RingPresentation
     nilpotency_class: int
@@ -220,7 +220,7 @@ def bch(l: NilpotentLieAlgebra, x, y, max_class: int | None = None):
 # -- the group in log coordinates -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GroupElement:
     algebra: NilpotentLieAlgebra
     log: tuple
@@ -258,7 +258,7 @@ def group_pow(g: GroupElement, a) -> GroupElement:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CommutatorReport:
     commutator: GroupElement
     bracket: tuple            # the leading Lie bracket (log g, log h)
@@ -311,7 +311,7 @@ def iterated_commutator(gs) -> CommutatorReport:
 # -- correspondence reports ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CorrespondenceReport:
     center_rows: tuple              # Ann(L): log coordinates of Z(G)
     centre_certified: bool          # commutes with all basis exps iff in Ann
@@ -373,7 +373,7 @@ def central_series_and_center(
 # -- group-level decomposition --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GroupFactor:
     algebra: NilpotentLieAlgebra
     rows: tuple
@@ -381,7 +381,7 @@ class GroupFactor:
     abelian: bool
 
 
-@dataclass(frozen=True)
+@record
 class GroupDecomposition:
     factors: tuple
     abelian_factor_rows: tuple

@@ -11,13 +11,12 @@ integer solve/kernel) require INTEGERS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .domains import Domain, ZZ, require_field
 from .errors import DimensionMismatch, NonFieldDomain
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     domain: Domain
     rows: int

@@ -14,7 +14,6 @@ kernel_basis_int.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -34,13 +33,14 @@ from .linalg import (
     solve_int,
     solve_smith,
 )
+from .records import record
 
 RATIONAL = "rational"
 FREE = "free"
 CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True)
+@record
 class Summand:
     kind: str
     modulus: int = 0
@@ -69,7 +69,7 @@ def cyclic(m: int) -> Summand:
     return Summand(CYCLIC, m)
 
 
-@dataclass(frozen=True)
+@record
 class ModuleDesc:
     summands: tuple
 
@@ -175,7 +175,7 @@ class ModuleDesc:
         return "(" + ", ".join(str(x) for x in self.reduce(a)) + ")"
 
 
-@dataclass(frozen=True)
+@record
 class ModuleElement:
     parent: ModuleDesc
     coords: tuple
@@ -267,7 +267,7 @@ def generator_matrix(m: ModuleDesc, gens) -> Matrix:
     return Matrix.from_cols(ZZ, cols)
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     """The submodule of a f.g. Z-module generated by gens, the integer twin
     of bilinear.Subspace.  matrix = [G | relations] presents it as a column
@@ -352,7 +352,7 @@ def _unimodular_inverse(u: Matrix) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SubmoduleBasis:
     """A f.g. submodule in adapted coordinates.
 

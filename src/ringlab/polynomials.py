@@ -12,7 +12,6 @@ whose factorization cannot be settled this way raise UnsupportedDegree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as int_gcd, isqrt
 
 from .domains import (
@@ -29,9 +28,10 @@ from .domains import (
     poly_trim,
 )
 from .errors import InvariantViolation, UnsupportedDegree, UnsupportedDomain, ValidationError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Poly:
     """Dense polynomial, constant term first, no trailing zeros."""
 

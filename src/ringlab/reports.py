@@ -8,16 +8,15 @@ name; a missing Z-module complement is analysis content, not a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import artinian, bilinear, lie as lie_mod, rings, scalars
 from .documents import InputDocument
 from .domains import Extension, PrimeField
 from .errors import NoSplit, PipelineError, RinglabError, UnsupportedDomain
 from .modules import divisible_bounded_split, torsion_part
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class AnalyzeOptions:
     seed: int = 0
     max_class: int = 6

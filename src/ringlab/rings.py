@@ -18,7 +18,6 @@ scalar matrices that commute with multiplication by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import gfenum
 from .artinian import (
@@ -56,6 +55,7 @@ from .errors import (
 )
 from .linalg import Matrix
 from .modules import split_complement, submodule_adapted_basis
+from .records import record
 from .scalars import (
     EndoAlgebra,
     ScalarActionReport,
@@ -65,7 +65,7 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class RingPresentation:
     """A ring on a carrier with multiplication tensor[i][j] = b_i * b_j.
 
@@ -206,7 +206,7 @@ def is_regular(r: RingPresentation) -> bool:
 # -- verbal ideals ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     """Multiplication-only term tree: a variable or a product."""
 
@@ -302,7 +302,7 @@ def parse_word(text: str) -> Word:
     return node
 
 
-@dataclass(frozen=True)
+@record
 class VerbalIdealReport:
     generators: tuple
     width: WidthReport | None
@@ -382,7 +382,7 @@ def _verbal_width_bfs(r: RingPresentation, term: Word, gens) -> WidthReport:
 # -- foundations and additions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FoundationSplit:
     foundation: RingPresentation
     addition: RingPresentation
@@ -481,7 +481,7 @@ def centroid(r: RingPresentation) -> EndoAlgebra:
     return centroid_of(r.as_bilinear(), identity).algebra
 
 
-@dataclass(frozen=True)
+@record
 class Enrichment:
     """A field acting on a component: matrices for 1, s, ..., s^(d-1)
     where s satisfies the residue minimal polynomial exactly and every
@@ -530,7 +530,7 @@ def verify_enrichment(ring: RingPresentation, enrichment: Enrichment) -> bool:
 # -- characteristic zero decomposition -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RingComponent:
     ring: RingPresentation
     rows: tuple                    # basis rows in the input's coordinates
@@ -541,7 +541,7 @@ class RingComponent:
     dim_over_residue: int
 
 
-@dataclass(frozen=True)
+@record
 class RingDecomposition:
     components: tuple
     addition: RingPresentation
@@ -665,7 +665,7 @@ def verify_ring_reassembly(r: RingPresentation, deco: RingDecomposition) -> bool
 # -- mixed and bounded cases -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MixedSplit:
     divisible: RingPresentation
     bounded: RingPresentation
@@ -697,7 +697,7 @@ def central_split_mixed(r: RingPresentation) -> MixedSplit:
     )
 
 
-@dataclass(frozen=True)
+@record
 class QuasiComponent:
     ring: RingPresentation
     rows: tuple
@@ -705,7 +705,7 @@ class QuasiComponent:
     residue_degree: int
 
 
-@dataclass(frozen=True)
+@record
 class CentralProductReport:
     components: tuple
     scalar: ScalarActionReport
@@ -748,7 +748,7 @@ def decompose_bounded(r: RingPresentation, seed: int = 0) -> CentralProductRepor
 # -- model construction and categoricity ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ModelConstruction:
     ring: RingPresentation       # the same constants over the new field
     special_basis: tuple         # rows in the input coordinates
@@ -847,7 +847,7 @@ def model_construct(
     )
 
 
-@dataclass(frozen=True)
+@record
 class CategoricityVerdict:
     satisfied: bool
     component_count: int

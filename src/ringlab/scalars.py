@@ -15,8 +15,6 @@ small prime fields, are kept as independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import gfenum
 from .artinian import CommutativeAlgebra, LocalFactor, local_decomposition
 from .bilinear import (
@@ -41,11 +39,12 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix, inverse, kernel_basis, rref
+from .records import field, record, replace
 
 _ZN_ENUM_CAP = 81  # |M| cap for the enumerated diagnostic
 
 
-@dataclass(frozen=True)
+@record
 class EndoAlgebra:
     """A subspace of End(M) with a canonical (echelonized) basis."""
 
@@ -195,7 +194,7 @@ def _stabilizer_inside(f: BilinearMap, z: EndoAlgebra, kernel_vectors) -> EndoAl
     return EndoAlgebra.from_vectors(d, n, vectors)
 
 
-@dataclass(frozen=True)
+@record
 class ScalarRingReport:
     """A ring of scalars of f with its action on the image of f."""
 
@@ -441,7 +440,7 @@ def scalar_ring_as_algebra(report: ScalarRingReport) -> CommutativeAlgebra:
     return endo_commutative_algebra(report.algebra)
 
 
-@dataclass(frozen=True)
+@record
 class BilinearComponent:
     map: BilinearMap
     m_rows: tuple
@@ -449,7 +448,7 @@ class BilinearComponent:
     local: LocalFactor
 
 
-@dataclass(frozen=True)
+@record
 class BilinearDecomposition:
     components: tuple
     scalar_report: ScalarRingReport
@@ -516,7 +515,7 @@ def _verify_component_structure(f: BilinearMap, deco: BilinearDecomposition):
 # -- A(R): the largest ring of scalars of a ring multiplication ---------------------
 
 
-@dataclass(frozen=True)
+@record
 class ScalarActionReport:
     """A(R) acting on R/Ann(R), with the compatible action on R^2."""
 

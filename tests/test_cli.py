@@ -427,9 +427,8 @@ def test_a_failed_decomposition_check_is_a_pipeline_error(monkeypatch):
 
 
 def test_a_failed_artinian_check_is_a_pipeline_error(monkeypatch):
-    from dataclasses import replace
-
     from ringlab import artinian
+    from ringlab.records import replace
 
     real = artinian.field_of_representatives
     # with the unit among the radical rows, the lifted subfield meets the radical

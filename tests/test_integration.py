@@ -303,6 +303,28 @@ def test_cli_and_analyze_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
 
+
+def test_cli_analyze_and_malcev_leave_dataclasses_and_inspect_unloaded():
+    # records are built by ringlab.records, which compiles no code per class
+    import subprocess
+    import sys
+    from importlib import resources
+
+    path = str(resources.files("ringlab.fixtures").joinpath("h3.json"))
+    check = "assert not {'dataclasses', 'inspect'} & set(sys.modules), %r\n"
+    script = (
+        "import sys\n"
+        "import ringlab.cli\n"
+        + check % "import ringlab.cli"
+        + f"assert ringlab.cli.main(['analyze', {path!r}, '--format', 'json']) == 0\n"
+        + check % "analyze"
+        + f"assert ringlab.cli.main(['malcev', 'mul', {path!r}, '(1,0,0)', '(0,1,0)']) == 0\n"
+        + check % "malcev mul"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+
+
 def filiform(dim):
     """(e1, e_i) = e_{i+1}, i = 2..dim-1: nilpotency class dim - 1."""
     entries = {}

@@ -358,9 +358,8 @@ def _patch_factors(monkeypatch, change):
 
 
 def _patch_residue_degree(monkeypatch, degree):
-    from dataclasses import replace
-
     from ringlab import rings
+    from ringlab.records import replace
 
     real = rings.component_enrichment
     monkeypatch.setattr(
@@ -394,7 +393,7 @@ def test_disagreeing_residue_degree_is_an_invariant_violation(monkeypatch):
 
 
 def test_indivisible_component_dimension_is_an_invariant_violation(monkeypatch):
-    from dataclasses import replace
+    from ringlab.records import replace
 
     _patch_residue_degree(monkeypatch, 7)
     _patch_factors(monkeypatch, lambda fs: [replace(lf, residue_degree=7) for lf in fs])

@@ -9,7 +9,6 @@ single entries, over GF(2), GF(7), Q, Q(sqrt 2), Z and Q + Z/6, so that Lie
 and non-Lie, associative and non-associative rings all occur.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from ringlab.bilinear import FIELD, BilinearMap, field_carrier, module_carrier
 from ringlab.domains import Extension, PrimeField, QQ
 from ringlab.linalg import Matrix
 from ringlab.modules import RATIONAL, ModuleDesc, cyclic, free_line, rational_line
+from ringlab.records import replace
 from ringlab.rings import RingPresentation
 from ringlab.scalars import _apply_action_in_n, _certify_bilinearity, centroid_of
 
