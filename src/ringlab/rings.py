@@ -18,6 +18,7 @@ scalar matrices that commute with multiplication by construction.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from . import gfenum
 from .artinian import (
@@ -89,6 +90,16 @@ class RingPresentation:
 
     def as_bilinear(self) -> BilinearMap:
         return self._bilinear
+
+    @cached_property
+    def ann_rows(self) -> tuple:
+        """Canonical generators of Ann(R), computed once per presentation."""
+        return tuple(two_sided_kernel(self._bilinear))
+
+    @cached_property
+    def square_rows(self) -> tuple:
+        """Canonical generators of R^2, computed once per presentation."""
+        return tuple(_ideal_closure(self, image_submodule(self._bilinear)))
 
     @property
     def dim(self) -> int:
@@ -166,17 +177,18 @@ def ring_on_rows(parent: RingPresentation, rows) -> RingPresentation:
 
 
 def annihilator(r: RingPresentation):
-    """Canonical generators of Ann(R) = {x : xR = Rx = 0}."""
-    return two_sided_kernel(r.as_bilinear())
+    """Canonical generators of Ann(R) = {x : xR = Rx = 0}, in a new list."""
+    return list(r.ann_rows)
 
 
 def square_ideal(r: RingPresentation):
-    """Canonical generators of R^2, closed under multiplication until stable.
+    """Canonical generators of R^2, closed under multiplication until stable,
+    in a new list.
 
     The span of all basis products is already an ideal, so the closure
     stabilizes at once; it is kept as a certificate.
     """
-    return _ideal_closure(r, image_submodule(r.as_bilinear()))
+    return list(r.square_rows)
 
 
 def _ideal_closure(r: RingPresentation, gens):
@@ -402,7 +414,7 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
     """
     ann = annihilator(r)
     sq = square_ideal(r)
-    delta = list(r.carrier.span(ann).intersect(r.carrier.span(sq)).rows)
+    delta = delta_ideal(r)
     if r.carrier.kind == FIELD:
         d = r.carrier.domain
         # extend delta to ann: the added vectors form R_0

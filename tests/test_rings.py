@@ -556,3 +556,47 @@ def test_mixed_carrier_ideals_and_regularity():
     assert is_regular(r)
     # Delta = Ann n R^2, blockwise: <z> on the Q lines, 0 on the Z/2 line
     assert delta_ideal(r) == [(0, 0, 1, 0)]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "tests/golden/inputs/R3-z.json",
+        "tests/golden/inputs/R3-q.json",
+        "tests/golden/inputs/R5-q.json",
+        "tests/golden/inputs/h3+z2.json",
+        "src/ringlab/fixtures/gf2-diagonal.json",
+    ],
+)
+def test_analyze_computes_ann_and_square_once_per_presentation(monkeypatch, path):
+    from pathlib import Path
+
+    from ringlab import rings
+    from ringlab.documents import load_document
+    from ringlab.reports import analyze
+
+    root = Path(__file__).resolve().parent.parent
+    doc = load_document((root / path).read_text(encoding="utf-8"))
+    f = doc.ring().as_bilinear()
+    counts = {"two_sided_kernel": 0, "image_submodule": 0}
+
+    def counted(name):
+        real = getattr(rings, name)
+
+        def wrapper(g):
+            counts[name] += g is f
+            return real(g)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(rings, name, counted(name))
+    analyze(doc)
+    assert counts == {"two_sided_kernel": 1, "image_submodule": 1}
+    # every caller gets a list of its own, never the cached rows
+    r = doc.ring()
+    for fn, cached in ((annihilator, r.ann_rows), (square_ideal, r.square_rows)):
+        rows = fn(r)
+        assert rows == list(cached) and rows is not fn(r)
+        rows.append(None)
+        assert fn(r) == list(cached)
