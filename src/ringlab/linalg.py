@@ -12,7 +12,7 @@ integer solve/kernel) require INTEGERS.
 from __future__ import annotations
 
 from .domains import Domain, ZZ, require_field
-from .errors import DimensionMismatch, NonFieldDomain
+from .errors import DimensionMismatch, NonFieldDomain, NotInvertible
 from .records import record
 
 
@@ -153,9 +153,11 @@ class Matrix:
 
 def rref(m: Matrix):
     """Reduced row-echelon form over a field: (matrix, pivot columns, rank).
-    Each row update runs over the pivot row's nonzero columns, all at or past col."""
+    The pivot row is zero before col, so its normalisation and each row
+    update run over its nonzero columns only."""
     require_field(m.domain, "rref")
     d = m.domain
+    zero = d.zero()
     rows = m.row_list()
     pivots = []
     piv_row = 0
@@ -164,9 +166,12 @@ def rref(m: Matrix):
         if sel is None:
             continue
         rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
-        inv = d.inv(rows[piv_row][col])
-        prow = rows[piv_row] = [d.mul(inv, x) for x in rows[piv_row]]
-        support = [j for j in range(col, m.cols) if not d.is_zero(prow[j])]
+        found = rows[piv_row]
+        support = [j for j in range(col, m.cols) if not d.is_zero(found[j])]
+        inv = d.inv(found[col])
+        prow = rows[piv_row] = [zero] * m.cols
+        for j in support:
+            prow[j] = d.mul(inv, found[j])
         for r, row in enumerate(rows):
             if r != piv_row and not d.is_zero(row[col]):
                 d.add_scaled(row, d.neg(row[col]), prow, support)
@@ -225,7 +230,7 @@ def inverse(m: Matrix) -> Matrix:
     aug = m.hstack(Matrix.identity(m.domain, m.rows))
     reduced, pivots, rk = rref(aug)
     if rk < m.rows or any(p >= m.rows for p in pivots):
-        raise ZeroDivisionError("matrix is singular")
+        raise NotInvertible("matrix is singular")
     return reduced.submatrix(range(m.rows), range(m.rows, 2 * m.rows))
 
 
