@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonFieldDomain, UnsupportedDegree, ValidationError
+from .errors import NonFieldDomain, NotInvertible, UnsupportedDegree, ValidationError
 
 
 def _is_prime(n: int) -> bool:
@@ -135,7 +135,7 @@ class Rationals(Domain):
 
     def inv(self, a):
         if a == 0:
-            raise ZeroDivisionError("inverse of 0")
+            raise NotInvertible("inverse of 0")
         c = Fraction(a.denominator, a.numerator)
         return c.numerator if c.denominator == 1 else c
 
@@ -261,7 +261,7 @@ class PrimeField(Domain):
     def inv(self, a):
         a %= self.p
         if a == 0:
-            raise ZeroDivisionError("inverse of 0")
+            raise NotInvertible("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
     def parse(self, obj):
@@ -396,7 +396,7 @@ def poly_mul(domain, a, b):
 def poly_divmod(domain, a, b):
     """Exact division with remainder over a field."""
     if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise NotInvertible("polynomial division by zero")
     rem = list(a)
     quo = [domain.zero()] * max(0, len(a) - len(b) + 1)
     lead_inv = domain.inv(b[-1])
@@ -504,10 +504,10 @@ class Extension(Domain):
     def inv(self, a):
         ap = poly_trim(self.base, a)
         if not ap:
-            raise ZeroDivisionError("inverse of 0")
+            raise NotInvertible("inverse of 0")
         g, s, _ = poly_xgcd(self.base, ap, self.minpoly)
         if len(g) != 1:
-            raise ZeroDivisionError("element is not invertible (reducible minpoly?)")
+            raise NotInvertible("element is not invertible (reducible minpoly?)")
         s = poly_mul(self.base, s, (self.base.inv(g[0]),))
         return self._lift(s)
 

@@ -109,6 +109,11 @@ class InvariantViolation(RinglabError):
     """An internal certificate or invariant check failed; the message names it."""
 
 
+class NotInvertible(InvariantViolation, ZeroDivisionError):
+    """Division by zero or by a non-unit, or the inverse of a singular
+    matrix; still a ZeroDivisionError to code that catches one."""
+
+
 class PipelineError(RinglabError):
     """An analysis stage failed; names the stage and keeps the cause."""
 

@@ -426,6 +426,18 @@ def test_a_failed_decomposition_check_is_a_pipeline_error(monkeypatch):
     )
 
 
+def test_a_singular_matrix_is_a_pipeline_error(monkeypatch):
+    from ringlab import linalg, scalars
+
+    real = linalg.inverse
+    monkeypatch.setattr(
+        scalars, "inverse", lambda m: real(linalg.Matrix.zero(m.domain, m.rows, m.cols))
+    )
+    code, out, err = run_cli("analyze", fixture_path("h3"))
+    assert code == 2 and not out
+    assert err == "ringlab: pipeline error at stage 'group_decompose': matrix is singular\n"
+
+
 def test_a_failed_artinian_check_is_a_pipeline_error(monkeypatch):
     from ringlab import artinian
     from ringlab.records import replace

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ringlab.domains import Extension, PrimeField, QQ, Residues, ZZ
-from ringlab.errors import NonFieldDomain, ValidationError
+from ringlab.domains import Extension, PrimeField, QQ, Residues, ZZ, poly_divmod
+from ringlab.errors import InvariantViolation, NonFieldDomain, NotInvertible, ValidationError
 from ringlab.polynomials import Poly, poly_factor
 
 
@@ -118,3 +118,35 @@ def test_rational_poly_factors_hold_no_float():
         for factor, _ in poly_factor(Poly(QQ, coeffs)):
             for c in factor.coeffs:
                 _check_rational(c, c)
+
+
+def _refuses(call, message):
+    """call() raises NotInvertible with message, which is both an
+    InvariantViolation and, for callers that catch one, a ZeroDivisionError."""
+    with pytest.raises(NotInvertible, match=message) as caught:
+        call()
+    assert isinstance(caught.value, InvariantViolation)
+    assert isinstance(caught.value, ZeroDivisionError)
+
+
+def test_rational_inverse_of_zero_is_not_invertible():
+    _refuses(lambda: QQ.inv(0), "^inverse of 0$")
+    _refuses(lambda: QQ.div(1, Fraction(0)), "^inverse of 0$")
+
+
+def test_prime_field_inverse_of_zero_is_not_invertible():
+    _refuses(lambda: PrimeField(7).inv(7), "^inverse of 0$")
+
+
+def test_polynomial_division_by_zero_is_not_invertible():
+    _refuses(lambda: poly_divmod(QQ, (1, 2), ()), "^polynomial division by zero$")
+
+
+def test_extension_inverse_of_zero_is_not_invertible():
+    _refuses(lambda: Extension(QQ, [-2, 0, 1]).inv((0, 0)), "^inverse of 0$")
+
+
+def test_extension_inverse_of_a_zero_divisor_is_not_invertible():
+    # t - 1 divides t^2 - 1, so it has no inverse modulo that reducible minpoly
+    ring = Extension(QQ, [-1, 0, 1], check_irreducible=False)
+    _refuses(lambda: ring.inv((-1, 1)), r"^element is not invertible \(reducible minpoly\?\)$")

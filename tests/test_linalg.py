@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab.domains import Extension, PrimeField, QQ, ZZ
-from ringlab.errors import NonFieldDomain
+from ringlab.errors import InvariantViolation, NonFieldDomain, NotInvertible, PipelineError
 from ringlab.linalg import (
     Matrix,
     det_int,
@@ -100,6 +100,20 @@ def test_solve_requires_field():
 def test_inverse_roundtrip():
     m = qmat([[1, 2], [3, 5]])
     assert m.mul(inverse(m)).eq(Matrix.identity(QQ, 2))
+
+
+def test_inverse_of_a_singular_matrix_is_not_invertible():
+    from ringlab.reports import _stage
+
+    singular = qmat([[1, 2], [2, 4]])
+    with pytest.raises(NotInvertible, match="^matrix is singular$") as caught:
+        inverse(singular)
+    assert isinstance(caught.value, InvariantViolation)
+    assert isinstance(caught.value, ZeroDivisionError)
+    with pytest.raises(PipelineError) as caught:
+        _stage("inverse", inverse, singular)
+    assert caught.value.stage == "inverse"
+    assert isinstance(caught.value.cause, NotInvertible)
 
 
 # -- integer routines --------------------------------------------------------
