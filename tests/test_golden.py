@@ -16,6 +16,11 @@ ring pipeline over Q above the benchmark's R_3.  h3+z2 (hand-written: the
 Heisenberg ring on x, y, z over Q beside t with t*t = t on a Z/2 line) is
 the one mixed carrier, run as json and as text with `--witnesses`: Ann =
 <z>, R^2 = <z, t>, Delta = <z>, regular, divisible_dim 3, bounded_dim 1.
+Four hand-written commutative-algebra documents pin the law certificate's
+messages, each exiting 1: alg-noncomm-q (first non-commuting pair (1, 2)),
+alg-nounit-q (zero multiplication, no unit to find), alg-unitfail-q
+(Q[x]/(x^2) with x given as the unit) and alg-nonassoc-gf7 (a*a = b,
+b*b = a, a*b = 0; first failing triple (1, 1, 2)).
 Expected bytes live in `golden/expected/`; a case with a nonzero exit code
 also pins its stderr in `<expected>.stderr`.
 
@@ -53,6 +58,8 @@ BENCH_INPUTS = {
     "L6": "lie-q",
 }
 MALCEV_INPUTS = {"h3x3+q": "malcev-q"}
+# commutative-algebra documents that fail one law each
+ALGEBRA_LAW_INPUTS = ("alg-noncomm-q", "alg-nounit-q", "alg-unitfail-q", "alg-nonassoc-gf7")
 
 # the arguments `workloads.build("malcev-q", 1, ...)` gives the h3x3+q commands
 H3X3_X = "(-1,-4/3,4/3,7/2,-1/8,-7/6,-5/7,7/4,7/9,1)"
@@ -93,6 +100,7 @@ CASES = (
         ("h3+z2.json", ["analyze", _input("h3+z2"), "--format", "json"]),
         ("h3+z2.txt", ["analyze", _input("h3+z2"), "--format", "text", "--witnesses"]),
     ]
+    + [(f"{n}.json", ["analyze", _input(n), "--format", "json"]) for n in ALGEBRA_LAW_INPUTS]
     + [
         (
             f"q-x2-2-squared-ext.{ext}",
@@ -103,7 +111,7 @@ CASES = (
 )
 
 # expected file -> exit code, for the cases that stop with an error
-FAILING = {"malcev-mul-nonlie-q.json": 2}
+FAILING = {"malcev-mul-nonlie-q.json": 2, **{f"{n}.json": 1 for n in ALGEBRA_LAW_INPUTS}}
 
 
 def _expected(name):
