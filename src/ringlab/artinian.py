@@ -9,13 +9,18 @@ polynomial into exact orthogonal idempotents of the subalgebra it
 generates; recurse on the blocks.  A factor is accepted as local once a
 probe exhibits a primitive residue element, certifying that the residue
 ring is a field.
+
+CommutativeAlgebra multiplies and certifies its laws through
+bilinear.BilinearMap: its product is the map's evaluate, and its
+commutativity and associativity checks are the map's witness walks, the
+same ones that set RingPresentation's flags.
 """
 
 from __future__ import annotations
 
 import random
 
-from .bilinear import Subspace, field_carrier, restrict, rows_through
+from .bilinear import BilinearMap, Subspace, field_carrier, restrict, rows_through
 from .domains import Domain, Extension, PrimeField, Rationals, poly_xgcd
 from .errors import (
     ActionNotWellFormed,
@@ -37,8 +42,10 @@ _EXHAUSTIVE_CAP = 2048
 class CommutativeAlgebra:
     """Unital commutative associative algebra by structure constants.
 
-    tensor[i][j] = coordinates of b_i * b_j; laws are verified on all
-    basis triples at construction.
+    tensor[i][j] = coordinates of b_i * b_j.  mult is the evaluate of one
+    BilinearMap on field_carrier(base, dim), built at construction, whose
+    witness walks certify commutativity and associativity on all basis
+    pairs and triples; the unit law is checked on every basis vector.
     """
 
     base: Domain
@@ -56,7 +63,11 @@ class CommutativeAlgebra:
         )
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "unit", tuple(self.base.add(c, z) for c in self.unit))
-        self._verify_laws()
+        carrier = field_carrier(self.base, self.dim)
+        f = BilinearMap(carrier, carrier, tensor)
+        # not a field: an instance attribute, so ==, hash and repr ignore it
+        object.__setattr__(self, "mult", f.evaluate)
+        self._verify_laws(f)
 
     @staticmethod
     def from_tensor(base: Domain, tensor, unit=None) -> "CommutativeAlgebra":
@@ -75,43 +86,18 @@ class CommutativeAlgebra:
             unit = res[0]
         return CommutativeAlgebra(base, dim, tensor, unit)
 
-    def _verify_laws(self):
+    def _verify_laws(self, f: BilinearMap):
+        pair = f.commutativity_witness()
+        if pair is not None:
+            raise ValidationError("multiplication not commutative at (%d,%d)" % pair)
         d = self.base
         for i in range(self.dim):
-            for j in range(self.dim):
-                if any(
-                    not d.eq(a, b)
-                    for a, b in zip(self.tensor[i][j], self.tensor[j][i])
-                ):
-                    raise ValidationError(f"multiplication not commutative at ({i},{j})")
-        basis = [
-            tuple(d.one() if k == i else d.zero() for k in range(self.dim))
-            for i in range(self.dim)
-        ]
-        for i in range(self.dim):
-            if self.mult(self.unit, basis[i]) != basis[i]:
+            b_i = tuple(d.one() if k == i else d.zero() for k in range(self.dim))
+            if self.mult(self.unit, b_i) != b_i:
                 raise ValidationError("unit law fails")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    left = self.mult(self.mult(basis[i], basis[j]), basis[k])
-                    right = self.mult(basis[i], self.mult(basis[j], basis[k]))
-                    if left != right:
-                        raise ValidationError(
-                            f"multiplication not associative at ({i},{j},{k})"
-                        )
-
-    def mult(self, x, y) -> tuple:
-        d = self.base
-        acc = [d.zero()] * self.dim
-        for i, xi in enumerate(x):
-            if d.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if d.is_zero(yj):
-                    continue
-                d.add_scaled(acc, d.mul(xi, yj), self.tensor[i][j], range(self.dim))
-        return tuple(acc)
+        triple = f.associativity_witness()
+        if triple is not None:
+            raise ValidationError("multiplication not associative at (%d,%d,%d)" % triple)
 
     def left_mult_matrix(self, x) -> Matrix:
         cols = []

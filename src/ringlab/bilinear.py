@@ -7,9 +7,13 @@ formal summand list, or a mixed divisible-plus-torsion formal sum.  The
 general case M1 != M2 is not modeled; maps are f: M x M -> N presented by
 a structure tensor tensor[i][j] = f(b_i, b_j) in N-coordinates.
 
-BilinearMap builds support[i][j], the nonzero (t, c) of each entry, once;
-evaluate and combine, the ring certificates in rings, the bilinearity
-certificate in scalars and lie's ad rows read it, not the dense tensor.
+BilinearMap builds support[i][j], the indices t of the nonzero coordinates
+of each entry, once, and reads each value as tensor[i][j][t].  evaluate
+and combine, the commutativity and associativity witness walks, the Lie
+walk in rings, the bilinearity certificate in scalars and lie's ad rows
+read it, not the dense tensor.  The two witness walks are the one law
+certificate for structure constants: RingPresentation's flags and
+CommutativeAlgebra's law check both come from them.
 
 Subspace is the one echelon type over a field: every span, membership,
 coordinate, complement, intersection and greedy basis extension in
@@ -156,21 +160,19 @@ class BilinearMap:
             raise DimensionMismatch("tensor shape must be dim(M) x dim(M)")
         object.__setattr__(self, "tensor", tensor)
         self._validate_cross_structure()
-        # support[i][j]: the (t, c) with c = f(b_i, b_j)_t nonzero; built
-        # once, not a field, so ==, hash and repr see only the tensor
+        # support[i][j]: the t with f(b_i, b_j)_t nonzero, as Domain.add_scaled
+        # reads them; built once, not a field, so ==, hash and repr see only
+        # the tensor
         nonzero = (
             (lambda c, z=self.n.domain.is_zero: not z(c))
             if self.n.kind == FIELD
             else (lambda c: c != 0)
         )
         support = tuple(
-            tuple(tuple((t, c) for t, c in enumerate(e) if nonzero(c)) for e in row)
+            tuple(tuple(t for t, c in enumerate(e) if nonzero(c)) for e in row)
             for row in tensor
         )
         object.__setattr__(self, "support", support)
-        # the same coordinates as index lists, for Domain.add_scaled
-        cols = tuple(tuple(tuple(t for t, _ in e) for e in row) for row in support)
-        object.__setattr__(self, "_support_cols", cols)
 
     def _validate_cross_structure(self):
         """Torsion and divisibility constraints forced by Z-bilinearity.
@@ -225,16 +227,17 @@ class BilinearMap:
         through Domain.add_scaled."""
         zero, _, add, mul = self._arith()
         acc = [zero] * self.n.dim
+        tensor, support = self.tensor, self.support
         if self.m.kind == FIELD:
-            add_scaled, tensor, cols = self.m.domain.add_scaled, self.tensor, self._support_cols
+            add_scaled = self.m.domain.add_scaled
             for c, i, j in terms:
-                if cols[i][j]:
-                    add_scaled(acc, c, tensor[i][j], cols[i][j])
+                if support[i][j]:
+                    add_scaled(acc, c, tensor[i][j], support[i][j])
         else:
-            support = self.support
             for c, i, j in terms:
-                for t, e in support[i][j]:
-                    acc[t] = add(acc[t], mul(c, e))
+                entry = tensor[i][j]
+                for t in support[i][j]:
+                    acc[t] = add(acc[t], mul(c, entry[t]))
         return self.n.reduce(tuple(acc))
 
     def evaluate(self, x, y):
@@ -250,6 +253,33 @@ class BilinearMap:
             for j, yj in enumerate(y)
             if not is_zero(yj)
         )
+
+    def commutativity_witness(self):
+        """The first basis pair (i, j), i < j in row-major order, with
+        f(b_i, b_j) != f(b_j, b_i); None when f is symmetric.  Entries are
+        canonical, so equal nonzero coordinates mean equal entries."""
+        s, t, n = self.support, self.tensor, self.m.dim
+        for i in range(n):
+            for j in range(i + 1, n):
+                if s[i][j] != s[j][i] or any(t[i][j][u] != t[j][i][u] for u in s[i][j]):
+                    return (i, j)
+        return None
+
+    def associativity_witness(self):
+        """For f: M x M -> M, the first basis triple (i, j, k) in row-major
+        order with (b_i b_j) b_k != b_i (b_j b_k); None when f is
+        associative.  Each side is one combine over the nonzero coordinates
+        of one product."""
+        s, t, n, eq = self.support, self.tensor, self.m.dim, self.n.eq
+        for i in range(n):
+            for j in range(n):
+                sij, tij = s[i][j], t[i][j]
+                for k in range(n):
+                    left = [(tij[u], u, k) for u in sij]
+                    right = [(t[j][k][u], i, u) for u in s[j][k]]
+                    if (left or right) and not eq(self.combine(left), self.combine(right)):
+                        return (i, j, k)
+        return None
 
     def entries(self):
         for i in range(self.m.dim):

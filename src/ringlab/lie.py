@@ -176,9 +176,8 @@ def _ad_rows(f, d, x):
     cols = [[d.zero()] * n for _ in range(n)]
     for i, xi in enumerate(x):
         if not d.is_zero(xi):
-            for col, pairs in zip(cols, f.support[i]):
-                for t, e in pairs:
-                    col[t] = d.add(col[t], d.mul(xi, e))
+            for col, entry, ts in zip(cols, f.tensor[i], f.support[i]):
+                d.add_scaled(col, xi, entry, ts)
     return [
         [(j, col[t]) for j, col in enumerate(cols) if not d.is_zero(col[t])]
         for t in range(n)

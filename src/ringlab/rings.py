@@ -5,8 +5,10 @@ decomposition pipelines, mixed central splitting, model construction by
 base change, and the categoricity verdict.
 
 Every RingPresentation certifies itself in full when it is built: its
-associativity, commutativity and Lie (antisymmetry and Jacobi) walks sum
-over the nonzero structure coordinates BilinearMap.support.
+associative and commutative flags say that BilinearMap's associativity
+and commutativity witness walks found no failing basis triple or pair,
+and its own Lie walk (antisymmetry and Jacobi) sums over the nonzero
+structure coordinates BilinearMap.support the same way.
 
 Component enrichment: the k_i-action on an indecomposable component is
 realized inside its centroid (endomorphisms X with X(xy) = (Xx)y =
@@ -84,8 +86,8 @@ class RingPresentation:
         bil = BilinearMap(self.carrier, self.carrier, self.tensor)
         object.__setattr__(self, "tensor", bil.tensor)
         object.__setattr__(self, "_bilinear", bil)
-        object.__setattr__(self, "associative", self._check_associative())
-        object.__setattr__(self, "commutative", self._check_commutative())
+        object.__setattr__(self, "associative", bil.associativity_witness() is None)
+        object.__setattr__(self, "commutative", bil.commutativity_witness() is None)
         object.__setattr__(self, "lie", self.lie_witness() is None)
 
     def as_bilinear(self) -> BilinearMap:
@@ -119,28 +121,6 @@ class RingPresentation:
     def mult(self, x, y):
         return self._bilinear.evaluate(x, y)
 
-    def _check_commutative(self) -> bool:
-        # entries are canonical, so equal nonzero coordinates mean equal
-        s = self._bilinear.support
-        return all(s[i][j] == s[j][i] for i in range(self.dim) for j in range(i))
-
-    def _check_associative(self) -> bool:
-        """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple, each side a
-        sum over the nonzero coordinates of one product."""
-        f = self._bilinear
-        s, n = f.support, self.dim
-        for i in range(n):
-            for j in range(n):
-                sij = s[i][j]
-                for k in range(n):
-                    left = [(c, t, k) for t, c in sij]
-                    right = [(c, i, t) for t, c in s[j][k]]
-                    if (left or right) and not self.carrier.eq(
-                        f.combine(left), f.combine(right)
-                    ):
-                        return False
-        return True
-
     def lie_witness(self):
         """The first basis pair (i, j) with b_i b_i != 0 or b_i b_j != -b_j b_i,
         else the first basis triple (i, j, k) that breaks Jacobi; None for a
@@ -158,9 +138,9 @@ class RingPresentation:
             for j in range(n):
                 for k in range(n):
                     # b_i(b_j b_k) + b_j(b_k b_i) + b_k(b_i b_j)
-                    jac = [(e, i, u) for u, e in s[j][k]]
-                    jac += [(e, j, u) for u, e in s[k][i]]
-                    jac += [(e, k, u) for u, e in s[i][j]]
+                    jac = [(t[j][k][u], i, u) for u in s[j][k]]
+                    jac += [(t[k][i][u], j, u) for u in s[k][i]]
+                    jac += [(t[i][j][u], k, u) for u in s[i][j]]
                     if jac and not c.is_zero(f.combine(jac)):
                         return (i, j, k)
         return None

@@ -1,5 +1,6 @@
-"""The ring certificates read the nonzero structure coordinates
-`BilinearMap.support`; here they are checked against dense references.
+"""The ring certificates read the indices of the nonzero structure
+coordinates, `BilinearMap.support`; here they are checked against dense
+references.
 
 The references are the evaluate-based walks the sparse ones replaced:
 every basis pair or triple goes through a dense `evaluate` that touches
@@ -170,7 +171,7 @@ def dense_support(f):
     else:
         nonzero = lambda c: c != 0
     return tuple(
-        tuple(tuple((t, c) for t, c in enumerate(e) if nonzero(c)) for e in row)
+        tuple(tuple(t for t, c in enumerate(e) if nonzero(c)) for e in row)
         for row in f.tensor
     )
 
