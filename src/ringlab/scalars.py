@@ -57,8 +57,10 @@ class EndoAlgebra:
 
     @staticmethod
     def from_vectors(domain: Domain, dim: int, vectors) -> "EndoAlgebra":
-        rows = Subspace.span(domain, vectors, dim * dim).rows
-        space = Subspace.span(domain, rows, dim * dim)
+        echelon = Subspace.span(domain, vectors, dim * dim)
+        rows = echelon.rows
+        # the same span with its echelon rows as basis, so coords read them
+        space = Subspace(domain, dim * dim, rows, echelon.pivots, rows)
         mats = tuple(Matrix(domain, dim, dim, r) for r in rows)
         closed = all(space.contains(a.mul(b).entries) for a in mats for b in mats)
         unital = space.contains(Matrix.identity(domain, dim).entries)
