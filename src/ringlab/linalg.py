@@ -358,11 +358,6 @@ def smith_normal_form(m: Matrix):
     )
 
 
-def snf_diagonal(m: Matrix):
-    _, d, _ = smith_normal_form(m)
-    return tuple(d.get(i, i) for i in range(min(d.rows, d.cols)))
-
-
 def hermite_column_form(m: Matrix) -> Matrix:
     """Column-style Hermite normal form of the integer column lattice.
 
