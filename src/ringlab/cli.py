@@ -9,7 +9,8 @@
 
 Exit codes: 0 success, 1 validation/parse error, 2 pipeline error.
 Reports are deterministic: identical input bytes give identical output
-bytes.
+bytes.  Integers of any length are read and printed in full; main lifts
+Python's int <-> str digit limit for the length of the command only.
 """
 
 from __future__ import annotations
@@ -245,6 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact arithmetic reads and prints every digit: lift Python's limit on
+    # int <-> str conversion (4,300 digits) while the command runs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from math import gcd, lcm
@@ -565,3 +566,32 @@ def test_analyze_never_shows_a_traceback(doc, fmt):
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
     assert bool(err) == (code != 0) and bool(out) == (code == 0)
+
+
+# 5,000 digits: past Python's default limit of 4,300 on int <-> str conversion
+BIG = "7" * 5000
+
+
+@pytest.mark.parametrize("literal", [BIG, f'"{BIG}"'], ids=["number", "string"])
+def test_integer_literals_past_the_digit_limit_are_read_and_printed(tmp_path, literal):
+    path = tmp_path / "big.json"
+    table = f"[[[1, {literal}], [0, 0]], [[0, 0], [0, 0]]]"
+    path.write_text(f'{{"kind": "ring", "domain": "Q", "basis": ["x", "y"], "table": {table}}}')
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli("analyze", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["square_ideal"] == [f"x + {BIG}*y"]
+    # main lifts the limit only while the command runs
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_malcev_prints_a_result_past_the_digit_limit():
+    """In H3, (a, 0, 0) * (0, a, 0) = (a, a, a^2/2); a = 10^2200 - 1 gives
+    a^2 = 9..98 0..01 with 4,400 digits."""
+    a = "9" * 2200
+    code, out, err = run_cli(
+        "malcev", "mul", fixture_path("h3"), f"({a},0,0)", f"(0,{a},0)", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    square = "9" * 2199 + "8" + "0" * 2199 + "1"
+    assert json.loads(out)["result"] == f"({a}, {a}, {square}/2)"
