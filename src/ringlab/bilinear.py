@@ -277,8 +277,12 @@ class BilinearMap:
                 for k in range(n):
                     left = [(tij[u], u, k) for u in sij]
                     right = [(t[j][k][u], i, u) for u in s[j][k]]
-                    if (left or right) and not eq(self.combine(left), self.combine(right)):
-                        return (i, j, k)
+                    if left or right:
+                        a, b = self.combine(left), self.combine(right)
+                        # equal coordinates are equal elements; unequal ones
+                        # may still agree in N
+                        if a != b and not eq(a, b):
+                            return (i, j, k)
         return None
 
     def entries(self):
