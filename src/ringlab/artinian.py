@@ -10,10 +10,8 @@ generates; recurse on the blocks.  A factor is accepted as local once a
 probe exhibits a primitive residue element, certifying that the residue
 ring is a field.
 
-CommutativeAlgebra multiplies and certifies its laws through
-bilinear.BilinearMap: its product is the map's evaluate, and its
-commutativity and associativity checks are the map's witness walks, the
-same ones that set RingPresentation's flags.
+CommutativeAlgebra multiplies and certifies its laws through one
+bilinear.BilinearMap, as RingPresentation does: its evaluate and witness walks.
 """
 
 from __future__ import annotations
@@ -42,10 +40,8 @@ _EXHAUSTIVE_CAP = 2048
 class CommutativeAlgebra:
     """Unital commutative associative algebra by structure constants.
 
-    tensor[i][j] = coordinates of b_i * b_j.  mult is the evaluate of one
-    BilinearMap on field_carrier(base, dim), built at construction, whose
-    witness walks certify commutativity and associativity on all basis
-    pairs and triples; the unit law is checked on every basis vector.
+    tensor[i][j] = coordinates of b_i * b_j; mult is the evaluate of a
+    BilinearMap whose witness walks check the laws on all basis triples.
     """
 
     base: Domain

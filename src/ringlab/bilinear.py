@@ -7,13 +7,11 @@ formal summand list, or a mixed divisible-plus-torsion formal sum.  The
 general case M1 != M2 is not modeled; maps are f: M x M -> N presented by
 a structure tensor tensor[i][j] = f(b_i, b_j) in N-coordinates.
 
-BilinearMap builds support[i][j], the indices t of the nonzero coordinates
-of each entry, once, and reads each value as tensor[i][j][t].  evaluate
-and combine, the commutativity and associativity witness walks, the Lie
-walk in rings, the bilinearity certificate in scalars and lie's ad rows
-read it, not the dense tensor.  The two witness walks are the one law
-certificate for structure constants: RingPresentation's flags and
-CommutativeAlgebra's law check both come from them.
+BilinearMap builds support[i][j], the t with tensor[i][j][t] nonzero, once;
+evaluate, combine, its commutativity and associativity witness walks (the
+one law check behind RingPresentation's flags and CommutativeAlgebra),
+the Lie walk in rings, scalars' bilinearity certificate and lie's ad rows
+read it, not the dense tensor.
 
 Subspace is the one echelon type over a field: every span, membership,
 coordinate, complement, intersection and greedy basis extension in
@@ -279,9 +277,7 @@ class BilinearMap:
                     right = [(t[j][k][u], i, u) for u in s[j][k]]
                     if left or right:
                         a, b = self.combine(left), self.combine(right)
-                        # equal coordinates are equal elements; unequal ones
-                        # may still agree in N
-                        if a != b and not eq(a, b):
+                        if a != b and not eq(a, b):  # unequal coordinates may agree in N
                             return (i, j, k)
         return None
 

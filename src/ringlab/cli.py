@@ -9,8 +9,7 @@
 
 Exit codes: 0 success, 1 validation/parse error, 2 pipeline error.
 Reports are deterministic: identical input bytes give identical output
-bytes.  Integers of any length are read and printed in full; main lifts
-Python's int <-> str digit limit for the length of the command only.
+bytes.  Integers of any length are read and printed in full.
 """
 
 from __future__ import annotations
@@ -251,15 +250,7 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _main(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "malcev":
@@ -277,6 +268,8 @@ def _main(argv) -> int:
     except OSError as exc:
         sys.stderr.write(f"ringlab: {exc}\n")
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,9 @@ decomposition pipelines, mixed central splitting, model construction by
 base change, and the categoricity verdict.
 
 Every RingPresentation certifies itself in full when it is built: its
-associative and commutative flags say that BilinearMap's associativity
-and commutativity witness walks found no failing basis triple or pair,
-and its own Lie walk (antisymmetry and Jacobi) sums over the nonzero
-structure coordinates BilinearMap.support the same way.
+associative and commutative flags are BilinearMap's witness walks finding
+nothing, and its Lie walk (antisymmetry and Jacobi) sums over
+BilinearMap.support as they do.
 
 Component enrichment: the k_i-action on an indecomposable component is
 realized inside its centroid (endomorphisms X with X(xy) = (Xx)y =

@@ -58,10 +58,9 @@ class EndoAlgebra:
     @staticmethod
     def from_vectors(domain: Domain, dim: int, vectors) -> "EndoAlgebra":
         echelon = Subspace.span(domain, vectors, dim * dim)
-        rows = echelon.rows
         # the same span with its echelon rows as basis, so coords read them
-        space = Subspace(domain, dim * dim, rows, echelon.pivots, rows)
-        mats = tuple(Matrix(domain, dim, dim, r) for r in rows)
+        space = Subspace(domain, dim * dim, echelon.rows, echelon.pivots, echelon.rows)
+        mats = tuple(Matrix(domain, dim, dim, r) for r in space.rows)
         closed = all(space.contains(a.mul(b).entries) for a in mats for b in mats)
         unital = space.contains(Matrix.identity(domain, dim).entries)
         return EndoAlgebra(domain, dim, mats, closed, unital, space)
