@@ -123,17 +123,16 @@ def product(d, a, b):
 def rebase(d, tensor, unit, perm, scales):
     """The same algebra on b'_i = scales[i] e_perm[i]."""
     n = len(tensor)
-    tensor = [
-        [
-            tuple(
-                d.div(d.mul(d.mul(scales[i], scales[j]), tensor[perm[i]][perm[j]][perm[s]]), scales[s])
-                for s in range(n)
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return tensor, tuple(d.div(unit[perm[s]], scales[s]) for s in range(n))
+
+    def entry(i, j):
+        c = d.mul(scales[i], scales[j])
+        old = tensor[perm[i]][perm[j]]
+        return tuple(d.div(d.mul(c, old[perm[s]]), scales[s]) for s in range(n))
+
+    return (
+        [[entry(i, j) for j in range(n)] for i in range(n)],
+        tuple(d.div(unit[perm[s]], scales[s]) for s in range(n)),
+    )
 
 
 @st.composite

@@ -100,7 +100,10 @@ CASES = (
         ("h3+z2.json", ["analyze", _input("h3+z2"), "--format", "json"]),
         ("h3+z2.txt", ["analyze", _input("h3+z2"), "--format", "text", "--witnesses"]),
     ]
-    + [(f"{n}.json", ["analyze", _input(n), "--format", "json"]) for n in ALGEBRA_LAW_INPUTS]
+    + [
+        (f"{n}.json", ["analyze", _input(n), "--format", "json"])
+        for n in ALGEBRA_LAW_INPUTS
+    ]
     + [
         (
             f"q-x2-2-squared-ext.{ext}",
