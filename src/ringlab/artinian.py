@@ -6,9 +6,13 @@ Splitting strategy: probe elements (basis vectors, then a deterministic
 seeded stream; exhaustive over small prime fields), compute minimal
 polynomials, and turn a coprime factorization of a probe's minimal
 polynomial into exact orthogonal idempotents of the subalgebra it
-generates; recurse on the blocks.  A factor is accepted as local once a
+generates; recurse on the blocks.  A block is accepted as local once a
 probe exhibits a primitive residue element, certifying that the residue
-ring is a field.
+ring is a field; that probe is the factor's residue primitive.  The split
+tree is walked once from A itself: each block is built, certified and
+probed one time.  Over an extension field the tree is walked on the
+algebra with scalars restricted to the prime base, and only its leaf
+idempotents come back up.
 
 CommutativeAlgebra multiplies and certifies its laws through one
 bilinear.BilinearMap, as RingPresentation does: its evaluate and witness walks.
@@ -17,6 +21,7 @@ bilinear.BilinearMap, as RingPresentation does: its evaluate and witness walks.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .bilinear import BilinearMap, Subspace, field_carrier, restrict, rows_through
 from .domains import Domain, Extension, PrimeField, Rationals, poly_xgcd
@@ -28,7 +33,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, kernel_basis, solve
+from .linalg import Matrix, kernel_basis, solve, unit_vectors
 from .polynomials import Poly, gcd as poly_gcd, poly_factor
 from .records import record
 
@@ -70,13 +75,11 @@ class CommutativeAlgebra:
         """Build an algebra, locating the unit by a linear solve if absent."""
         dim = len(tensor)
         if unit is None:
-            rows = []
-            rhs = []
-            for i in range(dim):
-                for t in range(dim):
-                    rows.append(tuple(tensor[k][i][t] for k in range(dim)))
-                    rhs.append(base.one() if t == i else base.zero())
-            res = solve(Matrix.from_rows(base, rows), tuple(rhs))
+            rows = [
+                tuple(tensor[k][i][t] for k in range(dim)) for i in range(dim) for t in range(dim)
+            ]
+            rhs = tuple(c for e in unit_vectors(base, dim) for c in e)
+            res = solve(Matrix.from_rows(base, rows), rhs)
             if res is None:
                 raise ValidationError("algebra has no unit element")
             unit = res[0]
@@ -86,9 +89,7 @@ class CommutativeAlgebra:
         pair = f.commutativity_witness()
         if pair is not None:
             raise ValidationError("multiplication not commutative at (%d,%d)" % pair)
-        d = self.base
-        for i in range(self.dim):
-            b_i = tuple(d.one() if k == i else d.zero() for k in range(self.dim))
+        for b_i in unit_vectors(self.base, self.dim):
             if self.mult(self.unit, b_i) != b_i:
                 raise ValidationError("unit law fails")
         triple = f.associativity_witness()
@@ -96,12 +97,8 @@ class CommutativeAlgebra:
             raise ValidationError("multiplication not associative at (%d,%d,%d)" % triple)
 
     def left_mult_matrix(self, x) -> Matrix:
-        cols = []
-        d = self.base
-        for j in range(self.dim):
-            basis_j = tuple(d.one() if k == j else d.zero() for k in range(self.dim))
-            cols.append(self.mult(x, basis_j))
-        return Matrix.from_cols(d, cols)
+        cols = [self.mult(x, e) for e in unit_vectors(self.base, self.dim)]
+        return Matrix.from_cols(self.base, cols)
 
     def power(self, x, n: int) -> tuple:
         acc = self.unit
@@ -148,8 +145,7 @@ def radical(a: CommutativeAlgebra):
     d = a.base
     if isinstance(d, (Rationals,)) or (isinstance(d, Extension) and d.char == 0):
         traces = []
-        for k in range(a.dim):
-            basis_k = tuple(d.one() if t == k else d.zero() for t in range(a.dim))
+        for basis_k in unit_vectors(d, a.dim):
             m = a.left_mult_matrix(basis_k)
             tr = d.zero()
             for i in range(a.dim):
@@ -173,8 +169,7 @@ def radical(a: CommutativeAlgebra):
         while p**e < a.dim:
             e += 1
         cols = []
-        for i in range(a.dim):
-            x = tuple(d.one() if t == i else d.zero() for t in range(a.dim))
+        for x in unit_vectors(d, a.dim):
             for _ in range(e):
                 x = a.power(x, p)
             cols.append(x)
@@ -213,8 +208,7 @@ class LocalFactor:
 
 def _probe_stream(a: CommutativeAlgebra, seed: int):
     d = a.base
-    for i in range(a.dim):
-        yield tuple(d.one() if k == i else d.zero() for k in range(a.dim))
+    yield from unit_vectors(d, a.dim)
     if isinstance(d, PrimeField) and d.p**a.dim <= _EXHAUSTIVE_CAP:
         # exhaustive and therefore decisive over a small prime field
         p = d.p
@@ -265,10 +259,7 @@ def _crt_idempotents(a: CommutativeAlgebra, u, factors):
 def _subalgebra_on(a: CommutativeAlgebra, idempotent):
     """Block e*A as an algebra with unit e, plus its basis rows."""
     d = a.base
-    cols = []
-    for i in range(a.dim):
-        basis_i = tuple(d.one() if k == i else d.zero() for k in range(a.dim))
-        cols.append(a.mult(idempotent, basis_i))
+    cols = [a.mult(idempotent, e) for e in unit_vectors(d, a.dim)]
     basis_rows = Subspace.span(d, cols, a.dim).rows
     tensor = restrict(a.mult, d, basis_rows, basis_rows)
     unit_coords = Subspace.span(d, basis_rows, a.dim).coords(idempotent)
@@ -326,17 +317,16 @@ def _restrict_scalars(a: CommutativeAlgebra):
     return restricted, up
 
 
-def _split_once(a: CommutativeAlgebra, seed: int):
-    """One splitting step: idempotents from some probe, or a locality
-    certificate.
+def _split_once(a: CommutativeAlgebra, rad_rows, seed: int):
+    """One splitting step on a block with radical rows rad_rows:
+    idempotents from some probe, or a locality certificate.
 
     A probe whose minimal polynomial has two coprime primary parts yields
     exact CRT idempotents; one whose minimal polynomial is a power of an
-    irreducible of degree dim(A/rad) certifies A is local (the residue
+    irreducible f of degree dim(A/rad) certifies A is local (the residue
     lcm of component minimal polynomials can only reach full degree with
-    a single component).
+    a single component), and (u, f) is its residue primitive.
     """
-    rad_rows = radical(a)
     residue_dim = a.dim - len(rad_rows)
     for u in _probe_stream(a, seed):
         m = a.minimal_polynomial(u)
@@ -375,8 +365,7 @@ def _residue_projection(a: CommutativeAlgebra, u, minpoly: Poly, rad_rows):
         powers.append(a.mult(powers[-1], u))
     change = Subspace.span(d, list(powers) + list(rad_rows), a.dim)
     rows = []
-    for i in range(a.dim):
-        basis_i = tuple(d.one() if k == i else d.zero() for k in range(a.dim))
+    for basis_i in unit_vectors(d, a.dim):
         coords = change.coords(basis_i)
         if coords is None:
             raise InvariantViolation("residue basis check: powers and radical miss the factor")
@@ -390,73 +379,71 @@ def local_decomposition(a: CommutativeAlgebra, seed: int = 0):
         return []
     if isinstance(a.base, Extension):
         restricted, up = _restrict_scalars(a)
-        down_factors = local_decomposition(restricted, seed)
-        out = []
-        for lf in down_factors:
-            out.append(_build_local_factor(a, up(lf.idempotent), seed))
-        return out
-
-    def recurse(idempotent):
-        block, basis_rows = _subalgebra_on(a, idempotent)
-        verdict, payload = _split_once(block, seed)
-        if verdict == "local":
-            return [idempotent]
-        out = []
-        # block coordinates -> original coordinates
-        for e_orig in rows_through(payload, basis_rows, field_carrier(a.base, a.dim)):
-            out.extend(recurse(e_orig))
-        return out
-
-    idempotents = recurse(a.unit)
-    factors = [_build_local_factor(a, e, seed) for e in idempotents]
+        down = [leaf[0] for leaf in _split_tree(restricted, seed)]
+        _verify_complete_orthogonal(restricted, down)
+        return [_extension_factor(a, up(e), seed) for e in down]
+    factors = [_local_factor(*leaf) for leaf in _split_tree(a, seed)]
     _verify_complete_orthogonal(a, [f.idempotent for f in factors])
     return factors
 
 
-def _primary_root(block: CommutativeAlgebra, m: Poly) -> Poly:
-    """The irreducible under a primary minimal polynomial of a local block.
+def _split_tree(a: CommutativeAlgebra, seed: int):
+    """The leaves of A's split tree over Q or GF(p), in walk order: one
+    (idempotent, block, basis rows, radical rows, (u, f)) per local block.
 
-    Over an extension base there is no v1 factorization, but the block is
-    already certified local, so every minimal polynomial is primary and
-    its squarefree part is the irreducible itself.
+    The root block is A on its own basis; every other block is built once
+    from A by _subalgebra_on, and its radical and probes run once.
     """
-    if isinstance(block.base, Extension):
-        return m.exact_div(poly_gcd(m, m.derivative())).monic()
-    factors = poly_factor(m)
-    if len(factors) != 1:
-        raise InvariantViolation("locality check: a block is not local after decomposition")
-    return factors[0][0]
+    carrier = field_carrier(a.base, a.dim)
+    leaves = []
+
+    def walk(idempotent, block, basis_rows):
+        rad_rows = radical(block)
+        verdict, payload = _split_once(block, rad_rows, seed)
+        if verdict == "local":
+            leaves.append((idempotent, block, basis_rows, rad_rows, payload))
+            return
+        # block coordinates -> original coordinates
+        for e_orig in rows_through(payload, basis_rows, carrier):
+            walk(e_orig, *_subalgebra_on(a, e_orig))
+
+    walk(a.unit, a, unit_vectors(a.base, a.dim))
+    return leaves
 
 
-def _build_local_factor(a: CommutativeAlgebra, idempotent, seed: int) -> LocalFactor:
+def _extension_factor(a: CommutativeAlgebra, idempotent, seed: int) -> LocalFactor:
+    """The local block of A over an extension field at a leaf idempotent.
+
+    There is no v1 factorization over an extension, but the block is
+    local (its idempotent is primitive downstairs), so every minimal
+    polynomial is primary and its squarefree part is the irreducible itself.
+    """
     block, basis_rows = _subalgebra_on(a, idempotent)
     rad_rows = radical(block)
-    powers = _radical_power_rows(block, rad_rows)
-    nilpotency_index = len(powers) + 1 if rad_rows else 1
     residue_dim = block.dim - len(rad_rows)
-    primitive = None
     for u in _probe_stream(block, seed):
         m = block.minimal_polynomial(u)
         if m.degree < 1:
             continue
-        f = _primary_root(block, m)
+        f = m.exact_div(poly_gcd(m, m.derivative())).monic()
         if f.degree == residue_dim:
-            primitive = (u, f)
-            break
-    if primitive is None:
-        raise ProbeFailure("no primitive residue element found for a local factor")
+            return _local_factor(idempotent, block, basis_rows, rad_rows, (u, f))
+    raise ProbeFailure("no primitive residue element found for a local factor")
+
+
+def _local_factor(idempotent, block, basis_rows, rad_rows, primitive) -> LocalFactor:
     u, f = primitive
-    projection = _residue_projection(block, u, f, rad_rows)
+    powers = _radical_power_rows(block, rad_rows)
     return LocalFactor(
         idempotent=tuple(idempotent),
         basis=tuple(basis_rows),
         algebra=block,
         radical_rows=tuple(rad_rows),
-        nilpotency_index=nilpotency_index,
+        nilpotency_index=len(powers) + 1 if rad_rows else 1,
         residue_primitive=tuple(u),
         residue_minpoly=f,
         residue_degree=f.degree,
-        projection=projection,
+        projection=_residue_projection(block, u, f, rad_rows),
     )
 
 
@@ -471,10 +458,10 @@ def _verify_complete_orthogonal(a: CommutativeAlgebra, idempotents):
         total = tuple(d.add(x, y) for x, y in zip(total, e))
     if total != tuple(a.unit):
         raise InvariantViolation("completeness check: the idempotents do not sum to 1")
-    for i, e in enumerate(idempotents):
-        for j, f in enumerate(idempotents):
-            if i != j and not a.is_zero_elem(a.mult(e, f)):
-                raise InvariantViolation("orthogonality check: two idempotents do not annihilate")
+    # e f = f e: the algebra is certified commutative
+    for e, f in combinations(idempotents, 2):
+        if not a.is_zero_elem(a.mult(e, f)):
+            raise InvariantViolation("orthogonality check: two idempotents do not annihilate")
 
 
 # -- J-series and r_k ----------------------------------------------------------
@@ -489,15 +476,7 @@ class JSeriesReport:
 def j_series(lf: LocalFactor) -> JSeriesReport:
     """Layer dimensions of A > J > J^2 > ... > 0 over the residue field."""
     block = lf.algebra
-    powers = [
-        [
-            tuple(
-                block.base.one() if t == i else block.base.zero()
-                for t in range(block.dim)
-            )
-            for i in range(block.dim)
-        ]
-    ]
+    powers = [unit_vectors(block.base, block.dim)]
     powers.extend(list(rows) for rows in _radical_power_rows(block, lf.radical_rows))
     dims = [len(Subspace.span(block.base, rows, block.dim).rows) for rows in powers]
     dims.append(0)
@@ -549,9 +528,7 @@ def r_k_module(lf: LocalFactor, action) -> int:
                 out.append(mat.apply(v))
         return Subspace.span(d, out, mdim).rows
 
-    current = [
-        tuple(d.one() if k == i else d.zero() for k in range(mdim)) for i in range(mdim)
-    ]
+    current = unit_vectors(d, mdim)
     dims = [len(Subspace.span(d, current, mdim).rows)]
     while True:
         current = act(lf.radical_rows, current)

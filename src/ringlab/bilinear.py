@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, inverse, kernel_basis, rref
+from .linalg import Matrix, inverse, kernel_basis, rref, unit_vectors
 from .modules import (
     CYCLIC,
     RATIONAL,
@@ -369,12 +369,8 @@ class Subspace:
 
     def complement(self):
         """The standard basis vectors at the non-pivot columns."""
-        d = self.domain
-        return [
-            tuple(d.one() if k == i else d.zero() for k in range(self.width))
-            for i in range(self.width)
-            if i not in self.pivots
-        ]
+        units = unit_vectors(self.domain, self.width)
+        return [e for i, e in enumerate(units) if i not in self.pivots]
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """By Zassenhaus: in the echelon span of (u, u) for u in rows and
@@ -499,10 +495,7 @@ def _field_kernel(f: BilinearMap):
             rows.append(tuple(f.tensor[i][j][t] for i in range(f.m.dim)))
             rows.append(tuple(f.tensor[j][i][t] for i in range(f.m.dim)))
     if not rows:
-        return [
-            tuple(d.one() if k == i else d.zero() for k in range(f.m.dim))
-            for i in range(f.m.dim)
-        ]
+        return unit_vectors(d, f.m.dim)
     kern = kernel_basis(Matrix.from_rows(d, rows))
     cols = [kern.col(j) for j in range(kern.cols)]
     return list(Subspace.span(d, cols, f.m.dim).rows)

@@ -7,6 +7,10 @@
     ringlab malcev decompose FILE [--max-class N]
     ringlab selftest {quick,full} [--format text|json]
 
+--max-class and --width-bound take integers >= 0 (0 is a cap like any
+other).  A negative exponent is read as an option unless it follows `--`,
+with any options before FILE: `ringlab malcev pow FILE G -- -3/2`.
+
 Exit codes: 0 success, 1 validation/parse error, 2 pipeline error.
 Reports are deterministic: identical input bytes give identical output
 bytes.  Integers of any length are read and printed in full.
@@ -100,6 +104,15 @@ def _parse_group_element(text: str, algebra) -> GroupElement:
         )
     coords = tuple(algebra.domain.parse(p) for p in parts)
     return GroupElement(algebra, coords)
+
+
+def _check_ranges(args) -> None:
+    """Refuse a negative cap before any document is read."""
+    for name in ("max_class", "width_bound"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            option = "--" + name.replace("_", "-")
+            raise ValidationError(f"{option} must be >= 0, got {value}")
 
 
 def _emit(tree, fmt: str) -> None:
@@ -251,6 +264,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
+        _check_ranges(args)
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "malcev":

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix
+from .linalg import Matrix, unit_vectors
 from .records import record
 from .rings import RingDecomposition, RingPresentation, annihilator, decompose_char0
 
@@ -76,10 +76,7 @@ def verify_nilpotent_lie(r: RingPresentation) -> NilpotentLieAlgebra:
     if r.dim == 0:
         return NilpotentLieAlgebra(r, 0, ())
     d = r.carrier.domain
-    basis = [
-        tuple(d.one() if k == i else d.zero() for k in range(r.dim))
-        for i in range(r.dim)
-    ]
+    basis = unit_vectors(d, r.dim)
     series = [tuple(basis)]
     current = basis
     while True:
@@ -324,10 +321,7 @@ def central_series_and_center(
     d = l.domain
     ann = annihilator(l.ring)
     centre = Subspace.span(d, ann, l.dim)
-    basis = [
-        tuple(d.one() if k == i else d.zero() for k in range(l.dim))
-        for i in range(l.dim)
-    ]
+    basis = unit_vectors(d, l.dim)
     centre_ok = True
     for a in ann:
         ga = GroupElement(l, a)

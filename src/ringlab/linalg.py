@@ -16,6 +16,12 @@ from .errors import DimensionMismatch, NonFieldDomain, NotInvertible
 from .records import record
 
 
+def unit_vectors(domain: Domain, n: int) -> list:
+    """The standard basis e_0, ..., e_(n-1) of domain^n, as row tuples."""
+    z, o = domain.zero(), domain.one()
+    return [tuple(o if k == i else z for k in range(n)) for i in range(n)]
+
+
 @record
 class Matrix:
     domain: Domain
@@ -48,8 +54,7 @@ class Matrix:
 
     @staticmethod
     def identity(domain: Domain, n: int) -> "Matrix":
-        z, o = domain.zero(), domain.one()
-        return Matrix(domain, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
+        return Matrix(domain, n, n, tuple(c for row in unit_vectors(domain, n) for c in row))
 
     @staticmethod
     def zero(domain: Domain, rows: int, cols: int) -> "Matrix":

@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix
+from .linalg import Matrix, unit_vectors
 from .modules import split_complement, submodule_adapted_basis
 from .records import record
 from .scalars import (
@@ -107,13 +107,12 @@ class RingPresentation:
         return self.carrier.dim
 
     def _basis(self):
+        if self.carrier.kind == FIELD:
+            return unit_vectors(self.carrier.domain, self.dim)
         out = []
         for i in range(self.dim):
             coords = list(self.carrier.zero())
-            if self.carrier.kind == FIELD:
-                coords[i] = self.carrier.domain.one()
-            else:
-                coords[i] = 1
+            coords[i] = 1
             out.append(self.carrier.reduce(coords))
         return out
 
@@ -575,10 +574,7 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
     d = r.carrier.domain
     sq = square_ideal(r)
     if not sq:
-        basis = tuple(
-            tuple(d.one() if k == i else d.zero() for k in range(r.dim))
-            for i in range(r.dim)
-        )
+        basis = tuple(unit_vectors(d, r.dim))
         return RingDecomposition(
             components=(),
             addition=r,

@@ -15,6 +15,8 @@ small prime fields, are kept as independent oracles.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import gfenum
 from .artinian import CommutativeAlgebra, LocalFactor, local_decomposition
 from .bilinear import (
@@ -88,11 +90,8 @@ class EndoAlgebra:
         return self.vectors() == other.vectors()
 
     def is_commutative(self) -> bool:
-        for a in self.basis:
-            for b in self.basis:
-                if not a.mul(b).eq(b.mul(a)):
-                    return False
-        return True
+        # a b = b a is symmetric in (a, b) and holds on the diagonal
+        return all(a.mul(b).eq(b.mul(a)) for a, b in combinations(self.basis, 2))
 
 
 def _require_field_map(f: BilinearMap, what: str):
@@ -436,11 +435,6 @@ def endo_commutative_algebra(endo: EndoAlgebra) -> CommutativeAlgebra:
     return CommutativeAlgebra(d, endo.rank, tuple(tensor), unit)
 
 
-def scalar_ring_as_algebra(report: ScalarRingReport) -> CommutativeAlgebra:
-    """P(f) as an abstract commutative algebra in its canonical basis."""
-    return endo_commutative_algebra(report.algebra)
-
-
 @record
 class BilinearComponent:
     map: BilinearMap
@@ -467,7 +461,7 @@ def decompose_via_scalars(f: BilinearMap, seed: int = 0) -> BilinearDecompositio
         raise ValidationError("decompose_via_scalars needs a full map")
     report = p_of_f(f)
     d = f.m.domain
-    algebra = scalar_ring_as_algebra(report)
+    algebra = endo_commutative_algebra(report.algebra)
     factors = local_decomposition(algebra, seed)
     components = []
     for lf in factors:

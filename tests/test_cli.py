@@ -595,3 +595,55 @@ def test_malcev_prints_a_result_past_the_digit_limit():
     assert (code, err) == (0, "")
     square = "9" * 2199 + "8" + "0" * 2199 + "1"
     assert json.loads(out)["result"] == f"({a}, {a}, {square}/2)"
+
+
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+
+
+def input_path(name):
+    """A packaged fixture, or else a benchmark input under golden/inputs/."""
+    if name in FIXTURE_NAMES:
+        return fixture_path(name)
+    return os.path.join(GOLDEN_INPUTS, f"{name}.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "L6", "--max-class", "-5"], "--max-class must be >= 0, got -5"),
+        (
+            ["malcev", "mul", "h3", "(1,0,0)", "(0,1,0)", "--max-class", "-1"],
+            "--max-class must be >= 0, got -1",
+        ),
+        (["analyze", "outer2x3-gf3", "--width-bound", "-1"], "--width-bound must be >= 0, got -1"),
+        # refused before the document is read: the file need not exist
+        (["analyze", "missing", "--width-bound", "-3"], "--width-bound must be >= 0, got -3"),
+    ],
+    ids=["analyze-max-class", "malcev-max-class", "width-bound", "before-reading"],
+)
+def test_a_negative_cap_is_invalid_input(argv, message):
+    file_at = 2 if argv[0] == "malcev" else 1
+    argv[file_at] = input_path(argv[file_at])
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (1, "", f"ringlab: invalid input: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, option, message",
+    [
+        ("h3", "--max-class", "stage 'central_series_and_center': class 2 exceeds the BCH cap 0"),
+        ("outer2x3-gf3", "--width-bound", "stage 'width': width exceeded the search bound 0"),
+    ],
+)
+def test_a_zero_cap_is_a_cap(name, option, message):
+    code, out, err = run_cli("analyze", input_path(name), option, "0")
+    assert (code, out, err) == (2, "", f"ringlab: pipeline error at {message}\n")
+
+
+def test_malcev_pow_reads_a_negative_exponent_after_double_dash():
+    code, out, err = run_cli(
+        "malcev", "pow", "--format", "json", fixture_path("h3"), "(1,0,0)", "--", "-3/2"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == "(-3/2, 0, 0)"

@@ -1,10 +1,13 @@
 """Whole-report golden tests: command stdout compared byte for byte.
 
 The five packaged fixtures run with `--format json` and with
-`--format text --witnesses`; eight benchmark inputs (seed 1 of
+`--format text --witnesses`; ten benchmark inputs (seed 1 of
 `ringbench/workloads.py`, copied under `golden/inputs/`) run with
 `--format json`; R3-z is the one that reaches the ring pipeline's
-integer coordinates.  `malcev mul`, `comm` and `pow` run on the malcev-q top
+integer coordinates, and q-alg6 (two local factors) and gf7-alg10 (three,
+found by two splits) pin the local decomposition's split tree.  q-ext runs
+with `--extension=-2,0,1`, as ring-q runs it: Q[t]/((t^2 - 2)^2) over
+Q(sqrt 2), split over Q and lifted back into two factors.  `malcev mul`, `comm` and `pow` run on the malcev-q top
 rung h3x3+q, and the q-x2-2-squared fixture is re-read with
 `--extension=1,0,1` as json and as text.  Two hand-written inputs pin
 what a failed certificate prints: `malcev mul` on nonlie-q (antisymmetric,
@@ -56,7 +59,11 @@ BENCH_INPUTS = {
     "R3-z": "finite-z",
     "h3x2+q": "lie-q",
     "L6": "lie-q",
+    "q-alg6": "ring-q",
+    "gf7-alg10": "finite-z",
 }
+# benchmark inputs re-read over an extension: name -> (workload, minimal polynomial)
+EXTENSION_INPUTS = {"q-ext": ("ring-q", "-2,0,1")}
 MALCEV_INPUTS = {"h3x3+q": "malcev-q"}
 # commutative-algebra documents that fail one law each
 ALGEBRA_LAW_INPUTS = ("alg-noncomm-q", "alg-nounit-q", "alg-unitfail-q", "alg-nonassoc-gf7")
@@ -111,6 +118,10 @@ CASES = (
         )
         for ext, fmt in (("json", "json"), ("txt", "text"))
     ]
+    + [
+        (f"{n}-ext.json", ["analyze", _input(n), f"--extension={poly}", "--format", "json"])
+        for n, (_, poly) in EXTENSION_INPUTS.items()
+    ]
 )
 
 # expected file -> exit code, for the cases that stop with an error
@@ -144,7 +155,11 @@ def _record():
 
     os.makedirs(INPUTS, exist_ok=True)
     os.makedirs(EXPECTED, exist_ok=True)
-    inputs = {**BENCH_INPUTS, **MALCEV_INPUTS}
+    inputs = {
+        **BENCH_INPUTS,
+        **MALCEV_INPUTS,
+        **{n: workload for n, (workload, _) in EXTENSION_INPUTS.items()},
+    }
     with tempfile.TemporaryDirectory() as tmp:
         for workload in sorted(set(inputs.values())):
             workloads.build(workload, 1, os.path.join(tmp, workload))
