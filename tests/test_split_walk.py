@@ -146,15 +146,18 @@ FIELDS = {
 }
 
 
+def over_sqrt2(a):
+    """A rational algebra re-read over Q(sqrt 2), as --extension=-2,0,1 does."""
+    lift = SQRT2.from_base
+    tensor = tuple(tuple(tuple(lift(c) for c in cell) for cell in row) for row in a.tensor)
+    return CommutativeAlgebra(SQRT2, a.dim, tensor, tuple(lift(c) for c in a.unit))
+
+
 def algebra(field, factors, perm_seed):
     ring, _, _ = FIELDS[field]
     doc = F.algebra_doc(random.Random(perm_seed), "a", factors, ring)
     a = load_document(json.dumps(doc.document)).commutative_algebra()
-    if field != "Q(sqrt2)":
-        return a
-    lift = SQRT2.from_base
-    tensor = tuple(tuple(tuple(lift(c) for c in cell) for cell in row) for row in a.tensor)
-    return CommutativeAlgebra(SQRT2, a.dim, tensor, tuple(lift(c) for c in a.unit))
+    return over_sqrt2(a) if field == "Q(sqrt2)" else a
 
 
 @st.composite
@@ -203,32 +206,22 @@ def _inputs(name):
         return load_document(f.read()).commutative_algebra()
 
 
-def _constructions(monkeypatch, a):
-    count = [0]
+def test_each_block_is_built_once(monkeypatch):
+    # q-alg6: two blocks under the root; gf7-alg10: two splits, four blocks;
+    # q-ext over Q(sqrt 2): the algebra over Q, its two blocks there and two
+    # blocks over Q(sqrt 2)
+    algebras = [_inputs("q-alg6"), _inputs("gf7-alg10"), over_sqrt2(_inputs("q-ext"))]
+    built = []
     certify = CommutativeAlgebra.__post_init__
 
     def counted(self):
-        count[0] += 1
+        built.append(self)
         certify(self)
 
     monkeypatch.setattr(CommutativeAlgebra, "__post_init__", counted)
-    local_decomposition(a)
-    return count[0]
-
-
-def test_each_block_is_built_once(monkeypatch):
-    q_ext = _inputs("q-ext")
-    lift = SQRT2.from_base
-    over_sqrt2 = CommutativeAlgebra(
-        SQRT2,
-        q_ext.dim,
-        tuple(tuple(tuple(lift(c) for c in cell) for cell in row) for row in q_ext.tensor),
-        tuple(lift(c) for c in q_ext.unit),
-    )
-    # q-alg6: two blocks under the root; gf7-alg10: two splits, four blocks;
-    # q-ext: the algebra over Q, its two blocks there and two over Q(sqrt 2)
-    counts = [
-        _constructions(monkeypatch, a)
-        for a in (_inputs("q-alg6"), _inputs("gf7-alg10"), over_sqrt2)
-    ]
+    counts = []
+    for a in algebras:
+        built.clear()
+        local_decomposition(a)
+        counts.append(len(built))
     assert counts == [2, 4, 5]
