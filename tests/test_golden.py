@@ -24,6 +24,12 @@ messages, each exiting 1: alg-noncomm-q (first non-commuting pair (1, 2)),
 alg-nounit-q (zero multiplication, no unit to find), alg-unitfail-q
 (Q[x]/(x^2) with x given as the unit) and alg-nonassoc-gf7 (a*a = b,
 b*b = a, a*b = 0; first failing triple (1, 1, 2)).
+Nine hand-written err-* documents pin where an input error points, each
+exiting 1: a bad entry deep in a multi-line table (table[2][1][2]), a bad
+minpoly coefficient (domain.ext.minpoly), a missing 'kind' (the document's
+opening brace, on line 2), an unknown summand, a short table row, a
+table that breaks the carrier's structure, a bad escape on line 3, and a
+repeated 'domain' and a repeated 'table' (the last occurrence is read).
 Expected bytes live in `golden/expected/`; a case with a nonzero exit code
 also pins its stderr in `<expected>.stderr`.
 
@@ -67,6 +73,18 @@ EXTENSION_INPUTS = {"q-ext": ("ring-q", "-2,0,1")}
 MALCEV_INPUTS = {"h3x3+q": "malcev-q"}
 # commutative-algebra documents that fail one law each
 ALGEBRA_LAW_INPUTS = ("alg-noncomm-q", "alg-nounit-q", "alg-unitfail-q", "alg-nonassoc-gf7")
+# documents that stop at load_document: a parse or validation error
+ERROR_INPUTS = (
+    "err-table-entry",
+    "err-ext-minpoly",
+    "err-missing-kind",
+    "err-unknown-summand",
+    "err-table-row",
+    "err-table-law",
+    "err-bad-escape",
+    "err-repeated-key",
+    "err-repeated-table",
+)
 
 # the arguments `workloads.build("malcev-q", 1, ...)` gives the h3x3+q commands
 H3X3_X = "(-1,-4/3,4/3,7/2,-1/8,-7/6,-5/7,7/4,7/9,1)"
@@ -109,7 +127,7 @@ CASES = (
     ]
     + [
         (f"{n}.json", ["analyze", _input(n), "--format", "json"])
-        for n in ALGEBRA_LAW_INPUTS
+        for n in ALGEBRA_LAW_INPUTS + ERROR_INPUTS
     ]
     + [
         (
@@ -125,7 +143,10 @@ CASES = (
 )
 
 # expected file -> exit code, for the cases that stop with an error
-FAILING = {"malcev-mul-nonlie-q.json": 2, **{f"{n}.json": 1 for n in ALGEBRA_LAW_INPUTS}}
+FAILING = {
+    "malcev-mul-nonlie-q.json": 2,
+    **{f"{n}.json": 1 for n in ALGEBRA_LAW_INPUTS + ERROR_INPUTS},
+}
 
 
 def _expected(name):
