@@ -64,10 +64,7 @@ def _pre_extend(doc: InputDocument, minpoly_text: str) -> InputDocument:
         )
     coeffs = [base.parse(c.strip()) for c in minpoly_text.split(",")]
     ext = Extension(base, tuple(coeffs))
-
-    def lift(value):
-        return ext.from_base(value)
-
+    lift = ext.from_base
     from .bilinear import field_carrier
 
     carrier = field_carrier(ext, doc.carrier.dim)
@@ -89,7 +86,6 @@ def _pre_extend(doc: InputDocument, minpoly_text: str) -> InputDocument:
         codomain=codomain,
         codomain_basis=doc.codomain_basis,
         unit=unit,
-        source=doc.source,
     )
 
 

@@ -1,10 +1,13 @@
 """Structure-constant input documents.
 
-UTF-8 JSON with exact literals only: integers and strings like "3/4" or
-"2 mod 5"; floating-point literals are rejected at parse time.  The
-parser is a small recursive-descent scanner that annotates every node
-with its line/column, so validation errors can point at the offending
-position.
+UTF-8 JSON with exact literals only: ASCII integers and strings like "3/4"
+or "2 mod 5"; floating-point literals are rejected at parse time.  A small
+recursive-descent scanner returns plain values (dict, list, str, int,
+bool, None) and keeps the offset at which each array's or object's
+children start.  A line and column are computed only when an error is
+raised: from the scanner's offset, or from the path a validation error
+names (the value there, or the innermost value on it that lacks the next
+key).
 
 Schema:
   {
@@ -36,51 +39,52 @@ KINDS = ("bilinear", "ring", "lie", "commutative-algebra", "module")
 # interpreter's recursion limit.
 MAX_DEPTH = 64
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_DIGITS = frozenset("0123456789")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "/": "/"}
 
 
-@record(frozen=False)
-class Node:
-    value: object
-    line: int
-    col: int
+def _position(text: str, pos: int) -> tuple:
+    """The 1-based (line, column) of offset pos; a column counts code points."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
         self.depth = 0
+        # id(array or object) -> the offsets of its children (a list, or a
+        # dict by key, where a repeated key keeps its last offset)
+        self.starts = {}
 
-    def error(self, message):
-        raise ParseError(message, self.line, self.col)
+    def error(self, message, pos=None):
+        raise ParseError(message, *_position(self.text, self.pos if pos is None else pos))
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def advance(self):
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.advance()
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos] in " \t\r\n":
+            pos += 1
+        self.pos = pos
 
     def expect(self, char):
         if self.peek() != char:
             self.error(f"expected {char!r}, found {self.peek()!r}")
-        self.advance()
+        self.pos += 1
 
-    def parse_value(self) -> Node:
+    def document(self):
         self.skip_ws()
-        line, col = self.line, self.col
+        self.root = self.pos
+        value = self.parse_value()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("trailing data after the document")
+        return value
+
+    def parse_value(self):
+        """The value at self.pos, which skip_ws has reached."""
         c = self.peek()
         if c == "":
             self.error("unexpected end of input")
@@ -88,28 +92,27 @@ class _Scanner:
             if self.depth == MAX_DEPTH:
                 self.error(f"arrays and objects nest deeper than {MAX_DEPTH} levels")
             self.depth += 1
-            node = self.parse_object() if c == "{" else self.parse_array()
+            value = self.parse_object() if c == "{" else self.parse_array()
             self.depth -= 1
-            return node
+            return value
         if c == '"':
-            return Node(self.parse_string(), line, col)
-        if c == "-" or c.isdigit():
-            return Node(self.parse_number(), line, col)
+            return self.parse_string()
+        if c == "-" or c in _DIGITS:
+            return self.parse_number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.text.startswith(literal, self.pos):
-                for _ in literal:
-                    self.advance()
-                return Node(value, line, col)
+                self.pos += len(literal)
+                return value
         self.error(f"unexpected character {c!r}")
 
-    def parse_object(self) -> Node:
-        line, col = self.line, self.col
-        self.expect("{")
-        out = {}
+    def parse_object(self) -> dict:
+        self.pos += 1
+        out, starts = {}, {}
+        self.starts[id(out)] = starts
         self.skip_ws()
         if self.peek() == "}":
-            self.advance()
-            return Node(out, line, col)
+            self.pos += 1
+            return out
         while True:
             self.skip_ws()
             if self.peek() != '"':
@@ -117,110 +120,118 @@ class _Scanner:
             key = self.parse_string()
             self.skip_ws()
             self.expect(":")
+            self.skip_ws()
+            starts[key] = self.pos
             out[key] = self.parse_value()
             self.skip_ws()
             if self.peek() == ",":
-                self.advance()
+                self.pos += 1
                 continue
             self.expect("}")
-            return Node(out, line, col)
+            return out
 
-    def parse_array(self) -> Node:
-        line, col = self.line, self.col
-        self.expect("[")
-        out = []
+    def parse_array(self) -> list:
+        self.pos += 1
+        out, starts = [], []
+        self.starts[id(out)] = starts
         self.skip_ws()
         if self.peek() == "]":
-            self.advance()
-            return Node(out, line, col)
+            self.pos += 1
+            return out
         while True:
+            self.skip_ws()
+            starts.append(self.pos)
             out.append(self.parse_value())
             self.skip_ws()
             if self.peek() == ",":
-                self.advance()
+                self.pos += 1
                 continue
             self.expect("]")
-            return Node(out, line, col)
+            return out
 
     def parse_string(self) -> str:
-        self.expect('"')
-        out = []
+        text, out = self.text, []
+        self.pos += 1
         while True:
-            c = self.peek()
-            if c == "":
-                self.error("unterminated string")
-            if c == '"':
-                self.advance()
-                return "".join(out)
-            if c == "\\":
-                self.advance()
-                if self.peek() == "":
+            # the run up to the closing quote or the next escape
+            quote = text.find('"', self.pos)
+            end = len(text) if quote < 0 else quote
+            slash = text.find("\\", self.pos, end)
+            out.append(text[self.pos : end if slash < 0 else slash])
+            if slash < 0:
+                self.pos = end
+                if quote < 0:
                     self.error("unterminated string")
-                esc = self.advance()
-                mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "/": "/"}
-                if esc in mapping:
-                    out.append(mapping[esc])
-                elif esc == "u":
-                    line, col = self.line, self.col
-                    value = self.parse_hex4()
-                    if 0xD800 <= value < 0xDC00 and self.text.startswith("\\u", self.pos):
-                        # a UTF-16 pair: high then low surrogate
-                        self.advance()
-                        self.advance()
-                        low = self.parse_hex4()
-                        if 0xDC00 <= low < 0xE000:
-                            value = 0x10000 + ((value - 0xD800) << 10) + low - 0xDC00
-                    if 0xD800 <= value < 0xE000:
-                        raise ParseError(f"lone UTF-16 surrogate \\u{value:04x}", line, col)
-                    out.append(chr(value))
-                else:
-                    self.error(f"unsupported escape \\{esc}")
+                self.pos += 1
+                return "".join(out)
+            self.pos = slash + 1
+            esc = self.peek()
+            if esc == "":
+                self.error("unterminated string")
+            self.pos += 1
+            if esc in _ESCAPES:
+                out.append(_ESCAPES[esc])
+            elif esc == "u":
+                start = self.pos
+                value = self.parse_hex4()
+                if 0xD800 <= value < 0xDC00 and text.startswith("\\u", self.pos):
+                    # a UTF-16 pair: high then low surrogate
+                    self.pos += 2
+                    low = self.parse_hex4()
+                    if 0xDC00 <= low < 0xE000:
+                        value = 0x10000 + ((value - 0xD800) << 10) + low - 0xDC00
+                if 0xD800 <= value < 0xE000:
+                    self.error(f"lone UTF-16 surrogate \\u{value:04x}", start)
+                out.append(chr(value))
             else:
-                out.append(self.advance())
+                self.error(f"unsupported escape \\{esc}")
 
     def parse_hex4(self) -> int:
         code = self.text[self.pos : self.pos + 4]
         if len(code) < 4 or not _HEX_DIGITS.issuperset(code):
             self.error(f"\\u needs four hex digits, found {code!r}")
-        for _ in code:
-            self.advance()
+        self.pos += 4
         return int(code, 16)
 
-    def parse_number(self):
-        start = self.pos
-        if self.peek() == "-":
-            self.advance()
-        while self.peek().isdigit():
-            self.advance()
-        if self.peek() in ".eE":
+    def parse_number(self) -> int:
+        text, start = self.text, self.pos
+        pos = start + 1
+        while pos < len(text) and text[pos] in _DIGITS:
+            pos += 1
+        self.pos = pos
+        if text.startswith((".", "e", "E"), pos):
             self.error(
                 "floating-point literals are not allowed; use exact strings like \"3/4\""
             )
-        text = self.text[start : self.pos]
-        if text in ("", "-"):
+        if pos == start + 1 and text[start] == "-":
             self.error("malformed number")
-        return int(text)
+        return int(text[start:pos])
+
+    def locate(self, value, path: str) -> int:
+        """The offset of the value at path below value (the document), or of
+        the innermost value on path that lacks the next key or index."""
+        pos = self.root
+        for step in path.replace("[", ".[").split("."):
+            if step:
+                key = int(step[1:-1]) if step[0] == "[" else step
+                try:
+                    pos, value = self.starts[id(value)][key], value[key]
+                except (KeyError, IndexError, TypeError):
+                    break
+        return pos
 
 
-def parse_json(text: str) -> Node:
-    scanner = _Scanner(text)
-    node = scanner.parse_value()
-    scanner.skip_ws()
-    if scanner.pos != len(text):
-        scanner.error("trailing data after the document")
-    return node
+def parse_json(text: str):
+    """The plain value (dict, list, str, int, bool or None) that text holds."""
+    return _Scanner(text).document()
 
 
-def _fail(node: Node, message: str, path: str):
-    raise ValidationError(message, path=path, line=node.line, col=node.col)
+class _Invalid(Exception):
+    """A schema violation: (message, path); load_document adds the position."""
 
 
-def _plain(node: Node):
-    if isinstance(node.value, dict):
-        return {k: _plain(v) for k, v in node.value.items()}
-    if isinstance(node.value, list):
-        return [_plain(v) for v in node.value]
-    return node.value
+def _fail(message: str, path: str):
+    raise _Invalid(message, path)
 
 
 @record(frozen=False)
@@ -233,7 +244,6 @@ class InputDocument:
     codomain: Carrier | None
     codomain_basis: tuple | None
     unit: tuple | None
-    source: dict = field(repr=False, default_factory=dict)
     # the structure each builder made, so one document is certified once
     _built: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -264,84 +274,95 @@ class InputDocument:
         return CommutativeAlgebra.from_tensor(self.carrier.domain, self.tensor)
 
 
-def _parse_domain(node: Node, path: str) -> Domain:
-    v = node.value
+def _parse_domain(v, path: str) -> Domain:
     if v == "Q":
         return QQ
     if v == "Z":
         return ZZ
     if isinstance(v, dict):
         if "gf" in v:
-            p = v["gf"].value
+            p = v["gf"]
             if not isinstance(p, int):
-                _fail(v["gf"], "gf modulus must be an integer", path + ".gf")
+                _fail("gf modulus must be an integer", path + ".gf")
             try:
                 return PrimeField(p)
             except ValidationError as exc:
-                _fail(v["gf"], str(exc), path + ".gf")
+                _fail(str(exc), path + ".gf")
         if "zmod" in v:
-            m = v["zmod"].value
+            m = v["zmod"]
             if not isinstance(m, int) or m < 2:
-                _fail(v["zmod"], "zmod modulus must be an integer >= 2", path + ".zmod")
+                _fail("zmod modulus must be an integer >= 2", path + ".zmod")
             return Residues(m)
         if "ext" in v:
-            ext = v["ext"].value
+            ext = v["ext"]
             if not isinstance(ext, dict) or "base" not in ext or "minpoly" not in ext:
-                _fail(v["ext"], "ext needs base and minpoly", path + ".ext")
+                _fail("ext needs base and minpoly", path + ".ext")
             base = _parse_domain(ext["base"], path + ".ext.base")
             if not isinstance(base, (Rationals, PrimeField)):
-                _fail(ext["base"], "extension base must be Q or GF(p)", path + ".ext.base")
-            coeffs = ext["minpoly"].value
+                _fail("extension base must be Q or GF(p)", path + ".ext.base")
+            coeffs = ext["minpoly"]
             if not isinstance(coeffs, list):
-                _fail(ext["minpoly"], "minpoly must be a list", path + ".ext.minpoly")
+                _fail("minpoly must be a list", path + ".ext.minpoly")
             try:
-                parsed = tuple(base.parse(c.value) for c in coeffs)
-                return Extension(base, parsed)
+                return Extension(base, tuple(base.parse(c) for c in coeffs))
             except ValidationError as exc:
-                _fail(ext["minpoly"], str(exc), path + ".ext.minpoly")
-    _fail(node, f"unknown domain {v!r}", path)
+                _fail(str(exc), path + ".ext.minpoly")
+    _fail(f"unknown domain {v!r}", path)
 
 
-def _parse_summands(node: Node | None, domain: Domain, dim: int, path: str) -> ModuleDesc:
-    if node is None:
+def _size(obj: dict, path: str, letter: str):
+    """The basis names and the summands list (or None) of a document or its
+    codomain; names default to letter + index.  None if neither is given."""
+    basis, summands = obj.get("basis"), obj.get("summands")
+    if "basis" in obj and not isinstance(basis, list):
+        _fail("basis must be a list of names", path + "basis")
+    if "summands" in obj and not isinstance(summands, list):
+        _fail("summands must be a list", path + "summands")
+    if basis is None:
+        if summands is None:
+            return None
+        return tuple(f"{letter}{i}" for i in range(len(summands))), summands
+    if summands is not None and len(summands) != len(basis):
+        _fail("summands and basis disagree in length", path + "summands")
+    return tuple(str(b) for b in basis), summands
+
+
+def _parse_summands(summands, domain: Domain, dim: int, path: str) -> ModuleDesc:
+    if summands is None:
         if domain == ZZ:
             return ModuleDesc(tuple(free_line() for _ in range(dim)))
         if isinstance(domain, Residues):
             return ModuleDesc(tuple(cyclic(domain.m) for _ in range(dim)))
         raise AssertionError("summands default only for Z / Z:m domains")
-    if not isinstance(node.value, list):
-        _fail(node, "summands must be a list", path)
     out = []
-    for i, entry in enumerate(node.value):
-        v = entry.value
+    for i, v in enumerate(summands):
         if v == "Q":
             out.append(rational_line())
         elif v == "Z":
             out.append(free_line())
         elif isinstance(v, dict) and "torsion" in v:
-            m = v["torsion"].value
+            m = v["torsion"]
             if not isinstance(m, int) or m < 2:
-                _fail(entry, "torsion modulus must be an integer >= 2", f"{path}[{i}]")
+                _fail("torsion modulus must be an integer >= 2", f"{path}[{i}]")
             out.append(cyclic(m))
         else:
-            _fail(entry, f"unknown summand {v!r}", f"{path}[{i}]")
+            _fail(f"unknown summand {v!r}", f"{path}[{i}]")
     return ModuleDesc(tuple(out))
 
 
-def _carrier_for(domain: Domain, summands: Node | None, dim: int, path: str) -> Carrier:
+def _carrier_for(domain: Domain, summands, dim: int, path: str) -> Carrier:
     if isinstance(domain, (Rationals, PrimeField, Extension)) and summands is None:
         return field_carrier(domain, dim)
+    desc = _parse_summands(summands, domain, dim, path)
     if isinstance(domain, (Rationals, PrimeField, Extension)):
         # summands given with a field domain must agree with it
-        desc = _parse_summands(summands, domain, dim, path)
         if isinstance(domain, Rationals) and desc.is_divisible():
             return field_carrier(domain, desc.dim)
         if isinstance(domain, PrimeField) and all(
             s.kind == "cyclic" and s.modulus == domain.p for s in desc.summands
         ):
             return field_carrier(domain, desc.dim)
-        _fail(summands, "summands conflict with the field domain", path)
-    desc = _parse_summands(summands, domain, dim, path)
+        _fail("summands conflict with the field domain", path)
     return module_carrier(desc)
 
 
@@ -351,49 +372,50 @@ def _coord_parsers(carrier: Carrier):
     return [carrier.desc.coord_domain(i) for i in range(carrier.dim)]
 
 
-def _parse_element(node: Node, carrier: Carrier, path: str):
-    if not isinstance(node.value, list):
-        _fail(node, "coordinates must be a list", path)
-    if len(node.value) != carrier.dim:
-        _fail(node, f"expected {carrier.dim} coordinates, got {len(node.value)}", path)
-    parsers = _coord_parsers(carrier)
+def _parse_element(value, parsers, path: str):
+    if not isinstance(value, list):
+        _fail("coordinates must be a list", path)
+    if len(value) != len(parsers):
+        _fail(f"expected {len(parsers)} coordinates, got {len(value)}", path)
     out = []
-    for i, (entry, parser) in enumerate(zip(node.value, parsers)):
+    for i, (entry, parser) in enumerate(zip(value, parsers)):
         try:
-            out.append(parser.parse(_plain(entry)))
+            out.append(parser.parse(entry))
         except ValidationError as exc:
-            _fail(entry, str(exc), f"{path}[{i}]")
+            _fail(str(exc), f"{path}[{i}]")
     return tuple(out)
 
 
 def load_document(text: str) -> InputDocument:
-    root = parse_json(text)
-    if not isinstance(root.value, dict):
-        _fail(root, "document must be a JSON object", "")
-    obj = root.value
+    scanner = _Scanner(text)
+    root = scanner.document()
+    try:
+        return _read(root)
+    except _Invalid as exc:
+        message, path = exc.args
+        line, col = _position(text, scanner.locate(root, path))
+        raise ValidationError(message, path=path, line=line, col=col) from None
+
+
+def _read(obj) -> InputDocument:
+    """The document that the plain value obj describes, validated."""
+    if not isinstance(obj, dict):
+        _fail("document must be a JSON object", "")
     if "kind" not in obj:
-        _fail(root, "missing 'kind'", "kind")
-    kind = obj["kind"].value
+        _fail("missing 'kind'", "kind")
+    kind = obj["kind"]
     if kind not in KINDS:
-        _fail(obj["kind"], f"kind must be one of {KINDS}", "kind")
+        _fail(f"kind must be one of {KINDS}", "kind")
     if "domain" not in obj:
-        _fail(root, "missing 'domain'", "domain")
+        _fail("missing 'domain'", "domain")
     domain = _parse_domain(obj["domain"], "domain")
 
-    basis_node = obj.get("basis")
-    summands_node = obj.get("summands")
-    if basis_node is not None and not isinstance(basis_node.value, list):
-        _fail(basis_node, "basis must be a list of names", "basis")
-    if basis_node is not None:
-        basis_names = tuple(str(b.value) for b in basis_node.value)
-    elif summands_node is not None:
-        basis_names = tuple(f"b{i}" for i in range(len(summands_node.value)))
-    else:
-        _fail(root, "need 'basis' or 'summands' to size the module", "basis")
+    sized = _size(obj, "", "b")
+    if sized is None:
+        _fail("need 'basis' or 'summands' to size the module", "basis")
+    basis_names, summands = sized
     dim = len(basis_names)
-    if summands_node is not None and len(summands_node.value) != dim:
-        _fail(summands_node, "summands and basis disagree in length", "summands")
-    carrier = _carrier_for(domain, summands_node, dim, "summands")
+    carrier = _carrier_for(domain, summands, dim, "summands")
     if carrier.kind == "field" and carrier.domain != domain:
         # module_carrier normalizes all-rational formal sums to Q-spaces
         domain = carrier.domain
@@ -402,17 +424,13 @@ def load_document(text: str) -> InputDocument:
     codomain_basis = None
     if kind == "bilinear":
         if "codomain" in obj:
-            cod = obj["codomain"].value
+            cod = obj["codomain"]
             if not isinstance(cod, dict):
-                _fail(obj["codomain"], "codomain must be an object", "codomain")
-            cbasis = cod.get("basis")
-            csummands = cod.get("summands")
-            if cbasis is not None:
-                codomain_basis = tuple(str(b.value) for b in cbasis.value)
-            elif csummands is not None:
-                codomain_basis = tuple(f"n{i}" for i in range(len(csummands.value)))
-            else:
-                _fail(obj["codomain"], "codomain needs basis or summands", "codomain")
+                _fail("codomain must be an object", "codomain")
+            sized = _size(cod, "codomain.", "n")
+            if sized is None:
+                _fail("codomain needs basis or summands", "codomain")
+            codomain_basis, csummands = sized
             codomain = _carrier_for(
                 domain, csummands, len(codomain_basis), "codomain.summands"
             )
@@ -423,24 +441,22 @@ def load_document(text: str) -> InputDocument:
     tensor = None
     if kind != "module":
         if "table" not in obj:
-            _fail(root, f"kind {kind!r} needs a multiplication table", "table")
+            _fail(f"kind {kind!r} needs a multiplication table", "table")
         table = obj["table"]
-        if not isinstance(table.value, list) or len(table.value) != dim:
-            _fail(table, f"table must have {dim} rows", "table")
-        target = codomain if codomain is not None else carrier
+        if not isinstance(table, list) or len(table) != dim:
+            _fail(f"table must have {dim} rows", "table")
+        parsers = _coord_parsers(codomain if codomain is not None else carrier)
         rows = []
-        for i, row in enumerate(table.value):
-            if not isinstance(row.value, list) or len(row.value) != dim:
-                _fail(row, f"table row must have {dim} entries", f"table[{i}]")
-            entries = []
-            for j, cell in enumerate(row.value):
-                entries.append(_parse_element(cell, target, f"table[{i}][{j}]"))
-            rows.append(tuple(entries))
+        for i, row in enumerate(table):
+            if not isinstance(row, list) or len(row) != dim:
+                _fail(f"table row must have {dim} entries", f"table[{i}]")
+            cells = enumerate(row)
+            rows.append(tuple(_parse_element(c, parsers, f"table[{i}][{j}]") for j, c in cells))
         tensor = tuple(rows)
 
     unit = None
     if kind == "commutative-algebra" and "unit" in obj:
-        unit = _parse_element(obj["unit"], carrier, "unit")
+        unit = _parse_element(obj["unit"], _coord_parsers(carrier), "unit")
 
     doc = InputDocument(
         kind=kind,
@@ -451,26 +467,18 @@ def load_document(text: str) -> InputDocument:
         codomain=codomain,
         codomain_basis=codomain_basis,
         unit=unit,
-        source=_plain(root),
     )
-    _structural_check(doc, root)
-    return doc
-
-
-def _structural_check(doc: InputDocument, root: Node):
-    """Run the constructors so structural violations carry the table position."""
     try:
-        if doc.kind == "bilinear":
+        # run the constructors so structural violations point at the table
+        if kind == "bilinear":
             doc.bilinear_map()
-        elif doc.kind in ("ring", "lie"):
+        elif kind in ("ring", "lie"):
             doc.ring()
-        elif doc.kind == "commutative-algebra":
+        elif kind == "commutative-algebra":
             doc.commutative_algebra()
     except ValidationError as exc:
-        table = root.value.get("table", root)
-        raise ValidationError(
-            str(exc), path="table", line=table.line, col=table.col
-        ) from exc
+        _fail(str(exc), "table")
+    return doc
 
 
 # -- serialization -------------------------------------------------------------

@@ -225,7 +225,28 @@ class Integers(Domain):
         return hash("Z")
 
 
-class PrimeField(Domain):
+class _ResidueDomain(Domain):
+    """GF(p) and Z/m, whose modulus is char: one reader for their literals,
+    an int or a string "a" or "a mod n" (n the modulus)."""
+
+    def parse(self, obj):
+        name = self.describe()
+        if isinstance(obj, (bool, float)):
+            raise ValidationError(f"{name} literals must be exact ints, got {obj!r}")
+        if isinstance(obj, str):
+            value, mod, modulus = obj.strip().partition(" mod ")
+            try:
+                if mod and int(modulus) != self.char:
+                    raise ValidationError(f"literal {obj!r} has wrong modulus for {name}")
+                obj = int(value)
+            except ValueError:
+                raise ValidationError(f"not a {name} literal: {obj!r}") from None
+        if isinstance(obj, int):
+            return obj % self.char
+        raise ValidationError(f"not a {name} literal: {obj!r}")
+
+
+class PrimeField(_ResidueDomain):
     is_field = True
     kind = "prime_field"
 
@@ -264,24 +285,6 @@ class PrimeField(Domain):
             raise NotInvertible("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def parse(self, obj):
-        if isinstance(obj, bool) or isinstance(obj, float):
-            raise ValidationError(f"GF({self.p}) literals must be exact ints, got {obj!r}")
-        if isinstance(obj, int):
-            return obj % self.p
-        if isinstance(obj, str):
-            text = obj.strip()
-            if " mod " in text:
-                value, modulus = text.split(" mod ", 1)
-                if int(modulus.strip()) != self.p:
-                    raise ValidationError(f"literal {obj!r} has wrong modulus for GF({self.p})")
-                text = value
-            try:
-                return int(text) % self.p
-            except ValueError:
-                raise ValidationError(f"not a GF({self.p}) literal: {obj!r}") from None
-        raise ValidationError(f"not a GF({self.p}) literal: {obj!r}")
-
     def format(self, a):
         return str(a % self.p)
 
@@ -295,7 +298,7 @@ class PrimeField(Domain):
         return hash(("GF", self.p))
 
 
-class Residues(Domain):
+class Residues(_ResidueDomain):
     """Z/m for composite m: element arithmetic only.
 
     Linear algebra over composite residues is intentionally not provided;
@@ -322,24 +325,6 @@ class Residues(Domain):
 
     def mul(self, a, b):
         return (a * b) % self.m
-
-    def parse(self, obj):
-        if isinstance(obj, bool) or isinstance(obj, float):
-            raise ValidationError(f"Z/{self.m} literals must be exact ints, got {obj!r}")
-        if isinstance(obj, int):
-            return obj % self.m
-        if isinstance(obj, str):
-            text = obj.strip()
-            if " mod " in text:
-                value, modulus = text.split(" mod ", 1)
-                if int(modulus.strip()) != self.m:
-                    raise ValidationError(f"literal {obj!r} has wrong modulus for Z/{self.m}")
-                text = value
-            try:
-                return int(text) % self.m
-            except ValueError:
-                raise ValidationError(f"not a Z/{self.m} literal: {obj!r}") from None
-        raise ValidationError(f"not a Z/{self.m} literal: {obj!r}")
 
     def format(self, a):
         return str(a % self.m)

@@ -4,7 +4,8 @@ foundations and additions, the characteristic-zero and bounded
 decomposition pipelines, mixed central splitting, model construction by
 base change, and the categoricity verdict.
 
-Every RingPresentation certifies itself in full when it is built: its
+A RingPresentation certifies each of its flags in full the first time it
+is read, so a sub-ring whose flags nobody reads is never walked: its
 associative and commutative flags are BilinearMap's witness walks finding
 nothing, and its Lie walk (antisymmetry and Jacobi) sums over
 BilinearMap.support as they do.
@@ -71,23 +72,29 @@ from .scalars import (
 class RingPresentation:
     """A ring on a carrier with multiplication tensor[i][j] = b_i * b_j.
 
-    The associativity/commutativity/Lie flags are computed on all basis
-    triples, never trusted from input.
+    The associative, commutative and lie flags are computed on all basis
+    triples the first time each is read, never trusted from input.
     """
 
     carrier: Carrier
     tensor: tuple
-    associative: bool = False
-    commutative: bool = False
-    lie: bool = False
 
     def __post_init__(self):
         bil = BilinearMap(self.carrier, self.carrier, self.tensor)
         object.__setattr__(self, "tensor", bil.tensor)
         object.__setattr__(self, "_bilinear", bil)
-        object.__setattr__(self, "associative", bil.associativity_witness() is None)
-        object.__setattr__(self, "commutative", bil.commutativity_witness() is None)
-        object.__setattr__(self, "lie", self.lie_witness() is None)
+
+    @cached_property
+    def associative(self) -> bool:
+        return self._bilinear.associativity_witness() is None
+
+    @cached_property
+    def commutative(self) -> bool:
+        return self._bilinear.commutativity_witness() is None
+
+    @cached_property
+    def lie(self) -> bool:
+        return self.lie_witness() is None
 
     def as_bilinear(self) -> BilinearMap:
         return self._bilinear

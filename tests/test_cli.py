@@ -647,3 +647,65 @@ def test_malcev_pow_reads_a_negative_exponent_after_double_dash():
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["result"] == "(-3/2, 0, 0)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("12", "document must be a JSON object (line 1, column 1)"),
+        ("[12", "expected ']', found '' (line 1, column 4)"),
+        ("-", "malformed number (line 1, column 2)"),
+        ('{"kind": ²}', "unexpected character '²' (line 1, column 10)"),
+        ("[١]", "unexpected character '١' (line 1, column 2)"),
+    ],
+)
+def test_number_literals_are_ascii_integers(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("analyze", str(path)) == (1, "", f"ringlab: invalid input: {message}\n")
+
+
+def _doc_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"summands": None}, "summands must be a list at summands"),
+        ({"codomain": {"basis": "xy"}}, "basis must be a list of names at codomain.basis"),
+        ({"codomain": {"summands": 3}}, "summands must be a list at codomain.summands"),
+        (
+            {"codomain": {"basis": ["a", "b"], "summands": ["Q"]}},
+            "summands and basis disagree in length at codomain.summands",
+        ),
+    ],
+)
+def test_a_badly_sized_codomain_is_invalid_input(tmp_path, extra, message):
+    doc = {"kind": "bilinear", "domain": "Q", "basis": ["x"], "table": [[["0", "0"]]], **extra}
+    code, out, err = run_cli("analyze", _doc_file(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ringlab: invalid input: {message} (line 1, column ")
+
+
+@pytest.mark.parametrize("domain, name", [({"gf": 5}, "GF(5)"), ({"zmod": 4}, "Z/4")])
+def test_a_residue_literal_with_a_bad_modulus_is_invalid_input(tmp_path, domain, name):
+    doc = {"kind": "ring", "domain": domain, "basis": ["a"], "table": [[["2 mod x"]]]}
+    code, out, err = run_cli("analyze", _doc_file(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        f"ringlab: invalid input: not a {name} literal: '2 mod x' at table[0][0][0]"
+    )
+
+
+def test_reports_print_plain_values(tmp_path):
+    doc = {"kind": "ring", "domain": "Q", "basis": [{"x": 2}], "table": [[["0"]]]}
+    code, out, err = run_cli("analyze", _doc_file(tmp_path, doc), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["annihilator"] == ["{'x': 2}"]
+    doc["table"] = [[[["1"]]]]
+    code, out, err = run_cli("analyze", _doc_file(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert "not a rational literal: ['1'] at table[0][0][0]" in err

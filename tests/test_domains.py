@@ -150,3 +150,21 @@ def test_extension_inverse_of_a_zero_divisor_is_not_invertible():
     # t - 1 divides t^2 - 1, so it has no inverse modulo that reducible minpoly
     ring = Extension(QQ, [-1, 0, 1], check_irreducible=False)
     _refuses(lambda: ring.inv((-1, 1)), r"^element is not invertible \(reducible minpoly\?\)$")
+
+
+@pytest.mark.parametrize("domain", [PrimeField(5), Residues(4)], ids=["GF(5)", "Z/4"])
+def test_residue_literals_share_one_reader(domain):
+    n, name = domain.char, domain.describe()
+    assert domain.parse(7) == 7 % n and domain.parse(" 7 ") == 7 % n
+    assert domain.parse(f"3 mod {n}") == 3 and domain.parse(f"-1 mod  {n} ") == n - 1
+    for literal, message in (
+        ("2 mod x", f"not a {name} literal: '2 mod x'"),
+        ("x", f"not a {name} literal: 'x'"),
+        ([1], f"not a {name} literal: [1]"),
+        ("x mod 9", f"literal 'x mod 9' has wrong modulus for {name}"),
+        (True, f"{name} literals must be exact ints, got True"),
+        (1.5, f"{name} literals must be exact ints, got 1.5"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            domain.parse(literal)
+        assert str(exc.value) == message

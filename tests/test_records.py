@@ -201,8 +201,10 @@ def test_post_init_is_looked_up_at_construction(monkeypatch):
     ring = RingPresentation(field_carrier(QQ, 1), (((1,),),))
     assert calls == [ring]
     assert ring.associative and ring.commutative and not ring.lie
-    # the flags are certified again, never taken from the changes
-    assert not records.replace(ring, lie=True).lie
+    # the flags are computed when read, not fields: nothing can set them
+    with pytest.raises(TypeError):
+        records.replace(ring, lie=True)
+    assert not records.replace(ring).lie
     assert len(calls) == 2
 
 

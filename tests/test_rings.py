@@ -600,3 +600,24 @@ def test_analyze_computes_ann_and_square_once_per_presentation(monkeypatch, path
         assert rows == list(cached) and rows is not fn(r)
         rows.append(None)
         assert fn(r) == list(cached)
+
+
+def test_flags_are_walked_when_first_read_and_once(monkeypatch):
+    from ringlab.bilinear import BilinearMap
+
+    walks = []
+    for cls, name in (
+        (BilinearMap, "associativity_witness"),
+        (BilinearMap, "commutativity_witness"),
+        (RingPresentation, "lie_witness"),
+    ):
+        real = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda self, real=real, name=name: walks.append(name) or real(self)
+        )
+    r = RingPresentation(field_carrier(QQ, 1), (((1,),),))
+    assert walks == []
+    assert not r.lie and not r.lie
+    assert walks == ["lie_witness"]
+    assert r.associative and r.commutative and r.associative
+    assert walks == ["lie_witness", "associativity_witness", "commutativity_witness"]
