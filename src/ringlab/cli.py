@@ -64,7 +64,10 @@ def _pre_extend(doc: InputDocument, minpoly_text: str) -> InputDocument:
         )
     coeffs = [base.parse(c.strip()) for c in minpoly_text.split(",")]
     ext = Extension(base, tuple(coeffs))
-    lift = ext.from_base
+
+    def lift(value):
+        return ext.from_base(value)
+
     from .bilinear import field_carrier
 
     carrier = field_carrier(ext, doc.carrier.dim)

@@ -1,13 +1,10 @@
 """Structure-constant input documents.
 
 UTF-8 JSON with exact literals only: ASCII integers and strings like "3/4"
-or "2 mod 5"; floating-point literals are rejected at parse time.  A small
-recursive-descent scanner returns plain values (dict, list, str, int,
-bool, None) and keeps the offset at which each array's or object's
-children start.  A line and column are computed only when an error is
-raised: from the scanner's offset, or from the path a validation error
-names (the value there, or the innermost value on it that lacks the next
-key).
+or "2 mod 5"; floating-point literals are rejected at parse time.  The
+parser is a small recursive-descent scanner that returns plain values and
+keeps only offsets; a line and column are computed when an error is
+raised, for a validation error from the path it names.
 
 Schema:
   {
@@ -450,8 +447,9 @@ def _read(obj) -> InputDocument:
         for i, row in enumerate(table):
             if not isinstance(row, list) or len(row) != dim:
                 _fail(f"table row must have {dim} entries", f"table[{i}]")
-            cells = enumerate(row)
-            rows.append(tuple(_parse_element(c, parsers, f"table[{i}][{j}]") for j, c in cells))
+            rows.append(
+                tuple(_parse_element(c, parsers, f"table[{i}][{j}]") for j, c in enumerate(row))
+            )
         tensor = tuple(rows)
 
     unit = None
@@ -490,21 +488,9 @@ def serialize_document(doc: InputDocument) -> str:
 
     out = {"kind": doc.kind}
     out["domain"] = _domain_json(doc.domain)
-    if doc.carrier.desc is not None:
-        out["summands"] = [
-            "Q" if s.kind == "rational" else "Z" if s.kind == "free" else {"torsion": s.modulus}
-            for s in doc.carrier.desc.summands
-        ]
-    out["basis"] = list(doc.basis_names)
+    out.update(_sized_json(doc.carrier, doc.basis_names))
     if doc.kind == "bilinear" and doc.codomain is not None and doc.codomain is not doc.carrier:
-        cod = {}
-        if doc.codomain.desc is not None:
-            cod["summands"] = [
-                "Q" if s.kind == "rational" else "Z" if s.kind == "free" else {"torsion": s.modulus}
-                for s in doc.codomain.desc.summands
-            ]
-        cod["basis"] = list(doc.codomain_basis)
-        out["codomain"] = cod
+        out["codomain"] = _sized_json(doc.codomain, doc.codomain_basis)
     if doc.unit is not None:
         parsers = _coord_parsers(doc.carrier)
         out["unit"] = [p.format(v) for p, v in zip(parsers, doc.unit)]
@@ -516,6 +502,18 @@ def serialize_document(doc: InputDocument) -> str:
             for row in doc.tensor
         ]
     return json.dumps(out, indent=2, sort_keys=False) + "\n"
+
+
+def _sized_json(carrier: Carrier, names) -> dict:
+    """The summands (of a module carrier) and basis that _size reads back."""
+    out = {}
+    if carrier.desc is not None:
+        out["summands"] = [
+            "Q" if s.kind == "rational" else "Z" if s.kind == "free" else {"torsion": s.modulus}
+            for s in carrier.desc.summands
+        ]
+    out["basis"] = list(names)
+    return out
 
 
 def _domain_json(domain: Domain):
