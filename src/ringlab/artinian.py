@@ -30,7 +30,6 @@ from .errors import (
     InvariantViolation,
     NonFieldDomain,
     ProbeFailure,
-    UnsupportedDomain,
     ValidationError,
 )
 from .linalg import Matrix, kernel_basis, solve, unit_vectors
@@ -141,6 +140,8 @@ def radical(a: CommutativeAlgebra):
 
     Char 0: kernel of the trace form.  GF(p): kernel of the iterated
     p-power map (GF(p)-linear in a commutative algebra of char p).
+    GF(p^k): the nilpotents are those of the algebra restricted to GF(p),
+    so the rows of that radical, lifted, span it over the extension.
     """
     d = a.base
     if isinstance(d, (Rationals,)) or (isinstance(d, Extension) and d.char == 0):
@@ -176,9 +177,9 @@ def radical(a: CommutativeAlgebra):
         kern = kernel_basis(Matrix.from_cols(d, cols))
         vecs = [kern.col(j) for j in range(kern.cols)]
         return list(Subspace.span(d, vecs, a.dim).rows)
-    raise UnsupportedDomain(
-        f"radical over {d.describe()} is outside v1 (need Q, an extension of Q, or GF(p))"
-    )
+    restricted, up = _restrict_scalars(a)  # an extension of GF(p)
+    lifted = [up(row) for row in radical(restricted)]
+    return list(Subspace.span(d, lifted, a.dim).rows)
 
 
 # -- local decomposition -------------------------------------------------------

@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for idempotent probing")
         p.add_argument("--max-class", type=int, default=6)
-        p.add_argument("--width-bound", type=int, default=16)
         p.add_argument("--extension", default=None, metavar="C0,C1,...",
                        help="pre-extend the base field by an irreducible "
                             "polynomial (constant term first)")
@@ -241,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("file")
     p_analyze.add_argument("--witnesses", action="store_true",
                            help="include basis-change witnesses")
+    p_analyze.add_argument("--width-bound", type=int, default=16)
     common(p_analyze)
 
     p_malcev = sub.add_parser("malcev", help="log-coordinate group arithmetic")

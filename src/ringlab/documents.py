@@ -37,7 +37,9 @@ KINDS = ("bilinear", "ring", "lie", "commutative-algebra", "module")
 MAX_DEPTH = 64
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _DIGITS = frozenset("0123456789")
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "/": "/"}
+_ESCAPES = {
+    "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", '"': '"', "\\": "\\", "/": "/"
+}
 
 
 def _position(text: str, pos: int) -> tuple:

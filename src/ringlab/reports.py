@@ -34,8 +34,11 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _fmt_scalar(domain, value) -> str:
+    """A coefficient as fmt_element prints it; one of several terms in the
+    generator t is parenthesised, as in Poly.format."""
     if isinstance(domain, Extension):
-        return domain.format_text(value)
+        text = domain.format_text(value)
+        return f"({text})" if " + " in text else text
     return str(domain.format(value))
 
 

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from ringlab.artinian import (
     r_k_module,
     radical,
 )
-from ringlab.domains import PrimeField, QQ
+from ringlab.bilinear import Subspace
+from ringlab.documents import load_document
+from ringlab.domains import Extension, PrimeField, QQ
 from ringlab.errors import (
     ActionNotWellFormed,
     InvariantViolation,
@@ -57,6 +60,41 @@ def test_radical_separable_is_zero():
 def test_radical_gf2():
     # (x+1)^2 = 0 over GF(2)
     assert radical(GF2_X2_PLUS_1) == [(1, 1)]
+
+
+GF7 = PrimeField(7)
+GF49 = Extension(GF7, (1, 0, 1))  # GF(7)[t]/(t^2 + 1)
+GF7_ALG10 = os.path.join(os.path.dirname(__file__), "golden", "inputs", "gf7-alg10.json")
+
+
+def over_extension(algebra, ext):
+    """The same structure constants read over the extension field ext."""
+
+    def lift(coords):
+        return tuple(ext.from_base(c) for c in coords)
+
+    tensor = tuple(tuple(lift(cell) for cell in row) for row in algebra.tensor)
+    return CommutativeAlgebra(ext, algebra.dim, tensor, lift(algebra.unit))
+
+
+def gf7_alg10():
+    with open(GF7_ALG10) as fh:
+        return load_document(fh.read()).commutative_algebra()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: quotient_algebra(GF7, [0, 0, 1, 0, 2, 0, 1]), gf7_alg10],
+    ids=["x^2(x^2+1)^2", "gf7-alg10"],
+)
+def test_radical_over_gf49_is_span_of_gf7_radical(make):
+    # radicals commute with base change to a perfect field
+    algebra = make()
+    rad = radical(algebra)
+    assert rad
+    lifted = [tuple(GF49.from_base(c) for c in row) for row in rad]
+    expected = Subspace.span(GF49, lifted, algebra.dim).rows
+    assert radical(over_extension(algebra, GF49)) == list(expected)
 
 
 def test_unit_autodetection():

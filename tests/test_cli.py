@@ -402,6 +402,26 @@ def test_residue_field_over_extension_base():
     assert line == "residue_field: Q[t]/(1,0,1)[s]/(-2 + s^2)"
 
 
+def test_an_extension_coefficient_of_several_terms_is_parenthesised():
+    from ringlab.bilinear import field_carrier
+    from ringlab.domains import Extension, PrimeField
+    from ringlab.reports import fmt_element
+
+    ext = Extension(PrimeField(7), (1, 0, 1))
+    coords = (ext.parse([1, 5]), ext.parse([0, 6]), ext.parse(3))
+    text = fmt_element(field_carrier(ext, 3), coords, ["a", "b", "c"])
+    assert text == "(1 + 5*t)*a + 6*t*b + 3*c"
+
+
+def test_gf_p_document_over_an_extension_reaches_every_stage():
+    # the radical over GF(7)[t]/(t^2 + 1) comes from the GF(7) restriction
+    path = os.path.join(GOLDEN_INPUTS, "gf7-alg10.json")
+    code, out, err = run_cli("analyze", path, "--extension=1,0,1")
+    assert (code, err) == (0, "")
+    assert "r_k_total: 6" in out
+    assert "idempotent: (1 + 5*t)*a0 + (4 + 1*t)*a1 + " in out
+
+
 def test_a_failed_certificate_is_a_pipeline_error(monkeypatch):
     from ringlab import scalars
 
@@ -639,6 +659,13 @@ def test_a_negative_cap_is_invalid_input(argv, message):
 def test_a_zero_cap_is_a_cap(name, option, message):
     code, out, err = run_cli("analyze", input_path(name), option, "0")
     assert (code, out, err) == (2, "", f"ringlab: pipeline error at {message}\n")
+
+
+def test_malcev_refuses_width_bound():
+    # only analyze reads --width-bound; argparse refuses it with usage code 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("malcev", "mul", fixture_path("h3"), "(1,0,0)", "(0,1,0)", "--width-bound", "3")
+    assert exc.value.code == 2
 
 
 def test_malcev_pow_reads_a_negative_exponent_after_double_dash():

@@ -71,6 +71,14 @@ def test_unicode_escapes_decode():
     assert parse_json('"\\u00e9\\u00C9x"') == "\u00e9\u00c9x"
 
 
+def test_a_basis_name_json_dump_escapes_loads():
+    tree = json.loads(H3_TEXT)
+    tree["basis"] = ["x\b", "y\f", "z\\/"]
+    text = json.dumps(tree)
+    assert "\\b" in text and "\\f" in text
+    assert load_document(text).basis_names == ("x\b", "y\f", "z\\/")
+
+
 def test_surrogate_pair_escapes_join_into_one_character():
     assert parse_json('"a\\ud83d\\ude00b\\uDBFF\\uDFFF"') == "a\U0001f600b\U0010ffff"
 

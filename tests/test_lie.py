@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -234,6 +235,53 @@ def trie_words(children, suffix=()):
 def test_dynkin_trie_holds_each_word_once(c):
     words = sorted(trie_words(_dynkin_trie(c, QQ)))
     assert words == sorted((word, coeff) for coeff, word in _dynkin_terms(c))
+
+
+def dynkin_terms_by_compositions(c):
+    """Reference: Dynkin's formula summed over every composition
+    (r_1, s_1) ... (r_k, s_k), independent of the log expansion."""
+    totals = {}
+
+    def pairs(limit):
+        for r in range(limit + 1):
+            for s in range(limit + 1 - r):
+                if r + s >= 1:
+                    yield r, s
+
+    def extend(seq, used, n):
+        if seq:
+            coeff_den = 1
+            for r, s in seq:
+                coeff_den *= factorial(r) * factorial(s)
+            coeff = Fraction((-1) ** (n - 1), n) / (used * coeff_den)
+            word = []
+            for r, s in seq:
+                word.extend([0] * r)
+                word.extend([1] * s)
+            word = tuple(word)
+            totals[word] = totals.get(word, Fraction(0)) + coeff
+        if used >= c:
+            return
+        for r, s in pairs(c - used):
+            extend(seq + [(r, s)], used + r + s, n + 1)
+
+    extend([], 0, 0)
+    merged = []
+    for word, coeff in totals.items():
+        if coeff == 0:
+            continue
+        if len(word) >= 2 and word[-1] == word[-2]:
+            continue
+        merged.append((coeff, word))
+    return tuple(merged)
+
+
+@pytest.mark.parametrize("c", range(1, 9))
+def test_dynkin_terms_match_composition_enumeration(c):
+    terms = _dynkin_terms(c)
+    reference = dynkin_terms_by_compositions(c)
+    assert len(terms) == len(reference)
+    assert {w: k for k, w in terms} == {w: k for k, w in reference}
 
 
 @pytest.mark.parametrize("dim", range(5, 9))

@@ -4,12 +4,13 @@ The scanner below is the one that annotated every value with a `Node`
 (line, column) record, copied unchanged as the reference.  A hypothesis
 property runs both on JSON-like texts, valid and damaged: they must give
 the same plain value, or the same `ParseError` message, line and column.
-The reference has two number faults that the new scanner mends, and a
-text that meets one of them is exempt:
+The reference has three faults that the new scanner mends, and a text
+that meets one of them is exempt:
 
 - a number that ends the text is reported as a float (`"" in ".eE"`);
 - `str.isdigit` accepts non-ASCII digits (`²` fails in `int`, `١` reads
-  as 1).
+  as 1);
+- it refuses the JSON escapes `\\b` and `\\f`, which `json.dumps` writes.
 """
 
 import json
@@ -237,7 +238,11 @@ def _tagged(value):
 
 
 def _exempt(text, reference):
-    """Whether text meets one of the reference's two number faults."""
+    """Whether text meets one of the reference's three faults."""
+    if reference[0] == "error" and reference[1].startswith(
+        ("unsupported escape \\b ", "unsupported escape \\f ")
+    ):
+        return True
     if reference[0] == "error" and reference[1].startswith(FLOAT_MESSAGE):
         end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
         if reference[2:] == end:
@@ -294,3 +299,10 @@ def test_the_exemptions_are_the_number_fixes():
     for text in ("12", "[12", "-", "[١]"):
         assert _outcome(parse_json, text) != _outcome(_reference, text)
         assert _exempt(text, _outcome(_reference, text))
+
+
+def test_the_escape_exemption_is_backspace_and_form_feed():
+    for text, value in (('["\\b"]', ["\b"]), ('{"a\\f": 1}', {"a\f": 1})):
+        assert parse_json(text) == value
+        assert _exempt(text, _outcome(_reference, text))
+    assert not _exempt('["\\q"]', _outcome(_reference, '["\\q"]'))

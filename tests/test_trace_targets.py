@@ -41,3 +41,10 @@ def test_stage_and_domain_targets_resolve():
         cls = getattr(modules["domains"], cls_name)
         for op in trace.DOMAIN_OPS:
             assert callable(getattr(cls, op)), f"domains.{cls_name}.{op}"
+
+
+def test_bch_word_count_target_resolves():
+    """`lie.bch.words` reads `len(lie._dynkin_terms(c))`, outside SPANS."""
+    terms = trace._modules()["lie"]._dynkin_terms
+    assert callable(terms)
+    assert len(terms(3)) > 0
