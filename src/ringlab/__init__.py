@@ -36,7 +36,6 @@ from .lie import (
     GroupElement,
     NilpotentLieAlgebra,
     bch,
-    bch_hall_table,
     central_series_and_center,
     group_commutator,
     group_decompose,

@@ -8,28 +8,25 @@ BCH is evaluated directly in the target algebra in Dynkin's form, each
 bracket word's coefficient read off log(e^x e^y) in the truncated free
 associative algebra.  The words sit in a suffix trie, so each distinct
 suffix costs one application of ad_x or ad_y (sparse rows read off the
-structure tensor) and a zero suffix prunes every word through it.  A
-table of coefficients on Hall words (classes <= 4) is solved once from
-the same expansion and kept as a cross-check.
+structure tensor) and a zero suffix prunes every word through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from math import comb, factorial, lcm
 
 from .bilinear import Subspace
-from .domains import QQ, Rationals
 from .errors import (
     AlgebraMismatch,
     ClassTooLarge,
-    InvariantViolation,
     NotLie,
     NotNilpotent,
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, unit_vectors
+from .linalg import unit_vectors
 from .records import record
 from .rings import RingDecomposition, RingPresentation, annihilator, decompose_char0
 
@@ -98,39 +95,46 @@ def verify_nilpotent_lie(r: RingPresentation) -> NilpotentLieAlgebra:
 # -- Dynkin's formula ----------------------------------------------------------
 
 
-def _trunc_mul(a: dict, b: dict, c: int) -> dict:
-    """Product in the free associative algebra truncated at degree c."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) > c:
-                continue
-            w = wa + wb
-            out[w] = out.get(w, Fraction(0)) + ca * cb
-    return {w: v for w, v in out.items() if v}
-
-
 def _trunc_log_of_product(c: int) -> dict:
-    """log(e^x e^y) in the free associative algebra truncated at degree c;
-    both BCH paths (the Dynkin terms and the Hall table) read it."""
-    def exp_letter(letter):
-        out = {(): Fraction(1)}
-        term = {(): Fraction(1)}
-        for k in range(1, c + 1):
-            term = _trunc_mul(term, {(letter,): Fraction(1, k)}, c)
-            for w, v in term.items():
-                out[w] = out.get(w, Fraction(0)) + v
-        return out
+    """log(e^x e^y) in the free associative algebra truncated at degree c,
+    as {word: coefficient}.
 
-    prod = _trunc_mul(exp_letter("x"), exp_letter("y"), c)
-    u = {w: v for w, v in prod.items() if w}
-    out = {}
-    term = {(): Fraction(1)}
+    u = e^x e^y - 1 is kept by word length n with each coefficient times n!,
+    so x^a y^b (a + b = n) has the int C(n, a), and a product of parts of
+    lengths i and j is an int times C(i + j, i).  The powers u^k stay in
+    ints, the k-th summed with weight lcm(1..c)/k, and each word's
+    coefficient becomes one Fraction at the end."""
+    u = [{}] + [
+        {("x",) * a + ("y",) * (n - a): comb(n, a) for a in range(n + 1)}
+        for n in range(1, c + 1)
+    ]
+    scale = lcm(*range(1, c + 1))
+    totals = [{} for _ in range(c + 1)]
+    power = u
     for k in range(1, c + 1):
-        term = _trunc_mul(term, u, c)
-        for w, v in term.items():
-            out[w] = out.get(w, Fraction(0)) + Fraction((-1) ** (k + 1), k) * v
-    return {w: v for w, v in out.items() if v}
+        weight = scale // k if k % 2 else -(scale // k)
+        for n in range(k, c + 1):
+            total = totals[n]
+            for w, v in power[n].items():
+                total[w] = total.get(w, 0) + weight * v
+        if k == c:
+            break
+        # u^(k+1) by length: a part of u^k (length i >= k) times a part of u
+        following = [{} for _ in range(c + 1)]
+        for n in range(k + 1, c + 1):
+            out = following[n]
+            for i in range(k, n):
+                binomial = comb(n, i)
+                for wa, va in power[i].items():
+                    for wb, vb in u[n - i].items():
+                        out[wa + wb] = out.get(wa + wb, 0) + binomial * va * vb
+        power = following
+    return {
+        w: Fraction(v, scale * factorial(n))
+        for n in range(1, c + 1)
+        for w, v in totals[n].items()
+        if v
+    }
 
 
 @lru_cache(maxsize=None)
@@ -423,94 +427,3 @@ def group_decompose(
         ring_decomposition=deco,
         cross_commutators_trivial=cross_ok,
     )
-
-
-# -- Hall-word table (cross-check for classes <= 4) -----------------------------------
-
-
-def _hall_words_rank2(c: int):
-    """Hall words on letters 'x' < 'y' up to length c, as nested tuples."""
-
-    def length(w):
-        return 1 if isinstance(w, str) else length(w[0]) + length(w[1])
-
-    def key(w):
-        return (length(w), str(w))
-
-    words = [["x", "y"]]
-    for n in range(2, c + 1):
-        new = []
-        flat = [w for level in words for w in level]
-        for u in flat:
-            for v in flat:
-                if length(u) + length(v) != n:
-                    continue
-                if key(u) >= key(v):
-                    continue
-                if not isinstance(v, str):
-                    if key(v[0]) > key(u):
-                        continue
-                new.append((u, v))
-        words.append(sorted(new, key=key))
-    return [w for level in words for w in level]
-
-
-def _expand_bracket(word, c: int) -> dict:
-    if isinstance(word, str):
-        return {(word,): Fraction(1)}
-    left = _expand_bracket(word[0], c)
-    right = _expand_bracket(word[1], c)
-    lr = _trunc_mul(left, right, c)
-    rl = _trunc_mul(right, left, c)
-    out = dict(lr)
-    for w, v in rl.items():
-        out[w] = out.get(w, Fraction(0)) - v
-    return {w: v for w, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def bch_hall_table(c: int):
-    """((hall word, coefficient), ...): log(e^x e^y) on the Hall basis.
-
-    Derived by expanding Hall words into the truncated free associative
-    algebra and solving against the log the Dynkin terms also read.
-    """
-    if c > 4:
-        raise ClassTooLarge("the Hall table is kept for classes <= 4")
-    words = _hall_words_rank2(c)
-    expansions = [_expand_bracket(w, c) for w in words]
-    target = _trunc_log_of_product(c)
-    monomials = sorted({w for e in expansions for w in e} | set(target))
-    rows = [
-        tuple(e.get(mon, Fraction(0)) for e in expansions) for mon in monomials
-    ]
-    rhs = tuple(target.get(mon, Fraction(0)) for mon in monomials)
-    from .linalg import solve
-
-    res = solve(Matrix.from_rows(QQ, rows), rhs)
-    if res is None:
-        raise InvariantViolation("Hall table: the Hall expansion system is inconsistent")
-    return tuple(zip(words, res[0]))
-
-
-def _evaluate_hall_word(l: NilpotentLieAlgebra, word, x, y):
-    if word == "x":
-        return x
-    if word == "y":
-        return y
-    return l.bracket(
-        _evaluate_hall_word(l, word[0], x, y), _evaluate_hall_word(l, word[1], x, y)
-    )
-
-
-def bch_via_hall_table(l: NilpotentLieAlgebra, x, y):
-    """BCH through the cached Hall-word table; classes <= 4 only."""
-    d = l.domain
-    if not isinstance(d, Rationals):
-        raise UnsupportedDomain("the Hall table path is rational-only")
-    acc = [d.zero()] * l.dim
-    for word, coeff in bch_hall_table(l.nilpotency_class):
-        if coeff == 0:
-            continue
-        d.add_scaled(acc, coeff, _evaluate_hall_word(l, word, x, y), range(l.dim))
-    return tuple(acc)

@@ -314,8 +314,8 @@ def test_width_outer_products_gf3():
     finally:
         tracemalloc.stop()
     assert report.exact and report.width == 3
-    # numpy reports its buffers to tracemalloc; the 3-fold sumset is
-    # enumerated in deduplicated chunks, not as 2.86 M rows at once
+    # the k-fold sumsets are bitmaps of 3^9 bits in one int, not row sets:
+    # the 2.86 M sums of the 3-fold sumset never exist as rows
     assert peak < 100 * 2**20
 
 

@@ -287,21 +287,50 @@ def test_determinism_across_hash_seeds():
 
 
 def test_cli_and_analyze_leave_numpy_unloaded():
-    # numpy is imported only by the GF(p) enumerations in ringlab.gfenum
+    # ringlab has no numpy: not at import, not for a Lie algebra, not for the
+    # GF(p) width enumeration (outer2x3-gf3), not for the Z_n oracle of selftest
+    import os
     import subprocess
     import sys
     from importlib import resources
 
-    path = str(resources.files("ringlab.fixtures").joinpath("h3.json"))
+    h3 = str(resources.files("ringlab.fixtures").joinpath("h3.json"))
+    outer = os.path.join(os.path.dirname(__file__), "golden", "inputs", "outer2x3-gf3.json")
     script = (
         "import sys\n"
         "import ringlab.cli\n"
         "assert 'numpy' not in sys.modules, 'import ringlab.cli loaded numpy'\n"
-        f"assert ringlab.cli.main(['analyze', {path!r}, '--format', 'json']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'analyze loaded numpy'\n"
+        f"assert ringlab.cli.main(['analyze', {h3!r}, '--format', 'json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'analyze h3 loaded numpy'\n"
+        f"assert ringlab.cli.main(['analyze', {outer!r}, '--format', 'json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'analyze outer2x3-gf3 loaded numpy'\n"
+        "assert ringlab.cli.main(['selftest', 'quick']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'selftest quick loaded numpy'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+
+
+def test_no_module_imports_numpy():
+    import ast
+    import os
+
+    import ringlab
+
+    src = os.path.dirname(ringlab.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "numpy" for m in modules), f"{name} imports numpy"
 
 
 def test_cli_analyze_and_malcev_leave_dataclasses_and_inspect_unloaded():

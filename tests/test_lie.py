@@ -1,25 +1,28 @@
+import functools
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from ringlab import linalg
 from ringlab.bilinear import field_carrier
-from ringlab.domains import Extension, QQ
+from ringlab.domains import Extension, QQ, Rationals
 from ringlab.errors import (
     AlgebraMismatch,
+    ClassTooLarge,
     InvariantViolation,
     NotLie,
     NotNilpotent,
+    UnsupportedDomain,
     ValidationError,
 )
 from ringlab.lie import (
     GroupElement,
     _dynkin_terms,
     _dynkin_trie,
+    _trunc_log_of_product,
     bch,
-    bch_hall_table,
-    bch_via_hall_table,
     central_series_and_center,
     group_commutator,
     group_decompose,
@@ -178,6 +181,128 @@ def test_bch_class3_coefficient_one_twelfth():
     assert z == (1, 1, Fraction(1, 2), Fraction(1, 12), Fraction(-1, 12))
 
 
+# -- the truncated log and the Hall-word table ------------------------------------------
+
+
+def trunc_mul(a, b, c):
+    """Product in the free associative algebra truncated at degree c."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) > c:
+                continue
+            w = wa + wb
+            out[w] = out.get(w, Fraction(0)) + ca * cb
+    return {w: v for w, v in out.items() if v}
+
+
+def trunc_log_by_products(c):
+    """Reference: log(e^x e^y) truncated at degree c, by Fraction products
+    of whole truncated series."""
+
+    def exp_letter(letter):
+        out = {(): Fraction(1)}
+        term = {(): Fraction(1)}
+        for k in range(1, c + 1):
+            term = trunc_mul(term, {(letter,): Fraction(1, k)}, c)
+            for w, v in term.items():
+                out[w] = out.get(w, Fraction(0)) + v
+        return out
+
+    prod = trunc_mul(exp_letter("x"), exp_letter("y"), c)
+    u = {w: v for w, v in prod.items() if w}
+    out = {}
+    term = {(): Fraction(1)}
+    for k in range(1, c + 1):
+        term = trunc_mul(term, u, c)
+        for w, v in term.items():
+            out[w] = out.get(w, Fraction(0)) + Fraction((-1) ** (k + 1), k) * v
+    return {w: v for w, v in out.items() if v}
+
+
+@pytest.mark.parametrize("c", range(1, 9))
+def test_trunc_log_matches_the_product_expansion(c):
+    assert _trunc_log_of_product(c) == trunc_log_by_products(c)
+
+
+def hall_words_rank2(c):
+    """Hall words on letters 'x' < 'y' up to length c, as nested tuples."""
+
+    def length(w):
+        return 1 if isinstance(w, str) else length(w[0]) + length(w[1])
+
+    def key(w):
+        return (length(w), str(w))
+
+    words = [["x", "y"]]
+    for n in range(2, c + 1):
+        new = []
+        flat = [w for level in words for w in level]
+        for u in flat:
+            for v in flat:
+                if length(u) + length(v) != n:
+                    continue
+                if key(u) >= key(v):
+                    continue
+                if not isinstance(v, str):
+                    if key(v[0]) > key(u):
+                        continue
+                new.append((u, v))
+        words.append(sorted(new, key=key))
+    return [w for level in words for w in level]
+
+
+def expand_bracket(word, c):
+    if isinstance(word, str):
+        return {(word,): Fraction(1)}
+    left = expand_bracket(word[0], c)
+    right = expand_bracket(word[1], c)
+    out = dict(trunc_mul(left, right, c))
+    for w, v in trunc_mul(right, left, c).items():
+        out[w] = out.get(w, Fraction(0)) - v
+    return {w: v for w, v in out.items() if v}
+
+
+@functools.lru_cache(maxsize=None)
+def bch_hall_table(c):
+    """((hall word, coefficient), ...): log(e^x e^y) on the Hall basis,
+    solved from the Hall words' expansions in the truncated free
+    associative algebra; classes <= 4."""
+    if c > 4:
+        raise ClassTooLarge("the Hall table is kept for classes <= 4")
+    words = hall_words_rank2(c)
+    expansions = [expand_bracket(w, c) for w in words]
+    target = trunc_log_by_products(c)
+    monomials = sorted({w for e in expansions for w in e} | set(target))
+    rows = [tuple(e.get(mon, Fraction(0)) for e in expansions) for mon in monomials]
+    rhs = tuple(target.get(mon, Fraction(0)) for mon in monomials)
+    res = linalg.solve(linalg.Matrix.from_rows(QQ, rows), rhs)
+    if res is None:
+        raise InvariantViolation("Hall table: the Hall expansion system is inconsistent")
+    return tuple(zip(words, res[0]))
+
+
+def evaluate_hall_word(l, word, x, y):
+    if word == "x":
+        return x
+    if word == "y":
+        return y
+    return l.bracket(evaluate_hall_word(l, word[0], x, y), evaluate_hall_word(l, word[1], x, y))
+
+
+def bch_via_hall_table(l, x, y):
+    """BCH through the Hall-word table; classes <= 4, over Q."""
+    d = l.domain
+    if not isinstance(d, Rationals):
+        raise UnsupportedDomain("the Hall table path is rational-only")
+    acc = [d.zero()] * l.dim
+    for word, coeff in bch_hall_table(l.nilpotency_class):
+        if coeff == 0:
+            continue
+        d.add_scaled(acc, coeff, evaluate_hall_word(l, word, x, y), range(l.dim))
+    return tuple(acc)
+
+
 def test_hall_table_known_coefficients():
     table = dict(bch_hall_table(4))
     assert table["x"] == 1 and table["y"] == 1
@@ -190,8 +315,6 @@ def test_hall_table_known_coefficients():
 
 
 def test_hall_table_failed_solve_is_invariant_violation(monkeypatch):
-    import ringlab.linalg as linalg
-
     bch_hall_table.cache_clear()
     monkeypatch.setattr(linalg, "solve", lambda m, b: None)
     try:
