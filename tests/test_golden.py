@@ -7,7 +7,9 @@ The five packaged fixtures run with `--format json` and with
 integer coordinates, and q-alg6 (two local factors) and gf7-alg10 (three,
 found by two splits) pin the local decomposition's split tree.  q-ext runs
 with `--extension=-2,0,1`, as ring-q runs it: Q[t]/((t^2 - 2)^2) over
-Q(sqrt 2), split over Q and lifted back into two factors.  `malcev mul`, `comm` and `pow` run on the malcev-q top
+Q(sqrt 2), split over Q and lifted back into two factors.  gf7-alg10 runs
+with `--extension=1,0,1`: GF(49) = GF(7)[t]/(t^2 + 1), whose idempotents
+print coefficients of t equal to 1.  `malcev mul`, `comm` and `pow` run on the malcev-q top
 rung h3x3+q, and the q-x2-2-squared fixture is re-read with
 `--extension=1,0,1` as json and as text.  Two hand-written inputs pin
 what a failed certificate prints: `malcev mul` on nonlie-q (antisymmetric,
@@ -69,7 +71,7 @@ BENCH_INPUTS = {
     "gf7-alg10": "finite-z",
 }
 # benchmark inputs re-read over an extension: name -> (workload, minimal polynomial)
-EXTENSION_INPUTS = {"q-ext": ("ring-q", "-2,0,1")}
+EXTENSION_INPUTS = {"q-ext": ("ring-q", "-2,0,1"), "gf7-alg10": ("finite-z", "1,0,1")}
 MALCEV_INPUTS = {"h3x3+q": "malcev-q"}
 # commutative-algebra documents that fail one law each
 ALGEBRA_LAW_INPUTS = ("alg-noncomm-q", "alg-nounit-q", "alg-unitfail-q", "alg-nonassoc-gf7")
