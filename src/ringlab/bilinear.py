@@ -119,15 +119,6 @@ class Carrier:
             return f"{self.domain.describe()}^{self.dim}"
         return self.desc.describe()
 
-    def format_elem(self, a) -> str:
-        if self.kind == FIELD:
-            fmt = []
-            for x in a:
-                s = self.domain.format(x)
-                fmt.append(str(s) if not isinstance(s, list) else "[" + ",".join(s) + "]")
-            return "(" + ", ".join(fmt) + ")"
-        return self.desc.format_elem(a)
-
 
 def field_carrier(domain: Domain, dim: int) -> Carrier:
     if not domain.is_field:

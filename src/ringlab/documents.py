@@ -1,9 +1,10 @@
 """Structure-constant input documents.
 
 UTF-8 JSON with exact literals only: ASCII integers and strings like "3/4"
-or "2 mod 5"; floating-point literals are rejected at parse time.  The
-parser is a small recursive-descent scanner that returns plain values and
-keeps only offsets; a line and column are computed when an error is
+or "2 mod 5"; floating-point literals are rejected at parse time, and so,
+as JSON requires, are leading zeros and raw control characters in strings.
+The parser is a small recursive-descent scanner that returns plain values
+and keeps only offsets; a line and column are computed when an error is
 raised, for a validation error from the path it names.
 
 Schema:
@@ -21,6 +22,8 @@ Schema:
 
 from __future__ import annotations
 
+import re
+
 from .artinian import CommutativeAlgebra
 from .bilinear import BilinearMap, Carrier, field_carrier, module_carrier
 from .domains import Domain, Extension, PrimeField, QQ, Rationals, Residues, ZZ
@@ -37,6 +40,8 @@ KINDS = ("bilinear", "ring", "lie", "commutative-algebra", "module")
 MAX_DEPTH = 64
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _DIGITS = frozenset("0123456789")
+# characters that a string must escape: U+0000 to U+001F
+_CONTROL = re.compile("[\x00-\x1f]")
 _ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", '"': '"', "\\": "\\", "/": "/"
 }
@@ -156,7 +161,14 @@ class _Scanner:
             quote = text.find('"', self.pos)
             end = len(text) if quote < 0 else quote
             slash = text.find("\\", self.pos, end)
-            out.append(text[self.pos : end if slash < 0 else slash])
+            stop = end if slash < 0 else slash
+            control = _CONTROL.search(text, self.pos, stop)
+            if control:
+                self.error(
+                    f"unescaped control character U+{ord(control.group()):04X} in a string",
+                    control.start(),
+                )
+            out.append(text[self.pos : stop])
             if slash < 0:
                 self.pos = end
                 if quote < 0:
@@ -204,6 +216,9 @@ class _Scanner:
             )
         if pos == start + 1 and text[start] == "-":
             self.error("malformed number")
+        first = start + (text[start] == "-")
+        if text[first] == "0" and pos > first + 1:
+            self.error("numbers must not have leading zeros", first + 1)
         return int(text[start:pos])
 
     def locate(self, value, path: str) -> int:

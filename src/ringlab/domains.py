@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonFieldDomain, NotInvertible, UnsupportedDegree, ValidationError
+from .errors import NonFieldDomain, NotInvertible, ValidationError
 
 
 def _is_prime(n: int) -> bool:
@@ -453,14 +453,7 @@ class Extension(Domain):
     def _check_irreducible(self):
         from .polynomials import Poly, is_irreducible
 
-        try:
-            ok = is_irreducible(Poly(self.base, self.minpoly))
-        except UnsupportedDegree:
-            raise UnsupportedDegree(
-                "cannot certify irreducibility of the minimal polynomial "
-                f"(degree {self.degree}) with v1 factorization"
-            ) from None
-        if not ok:
+        if not is_irreducible(Poly(self.base, self.minpoly)):
             raise ValidationError("extension minimal polynomial is reducible")
 
     def _lift(self, coeffs):
@@ -528,12 +521,12 @@ class Extension(Domain):
         for i, c in enumerate(a):
             if self.base.is_zero(c):
                 continue
+            s = self.base.format(c)
             if i == 0:
-                terms.append(self.base.format(c))
-            elif i == 1:
-                terms.append(f"{self.base.format(c)}*{var}")
+                terms.append(s)
             else:
-                terms.append(f"{self.base.format(c)}*{var}^{i}")
+                power = var if i == 1 else f"{var}^{i}"
+                terms.append(power if s == "1" else f"{s}*{power}")
         return " + ".join(terms) if terms else "0"
 
     def describe(self):

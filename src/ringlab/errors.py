@@ -17,10 +17,6 @@ class UnsupportedDomain(RinglabError):
     """The coefficient domain is outside the operation's v1 scope."""
 
 
-class UnsupportedDegree(RinglabError):
-    """Rational factorization beyond the v1 degree bound was requested."""
-
-
 class NotOmegaStableShape(RinglabError):
     """A free integer line is present where divisible + bounded is required."""
 

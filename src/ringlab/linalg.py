@@ -86,13 +86,6 @@ class Matrix:
             self.domain, [self.row(i) + other.row(i) for i in range(self.rows)]
         )
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack needs equal column counts")
-        return Matrix(
-            self.domain, self.rows + other.rows, self.cols, self.entries + other.entries
-        )
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix.from_rows(
             self.domain, [[self.get(i, j) for j in col_idx] for i in row_idx]

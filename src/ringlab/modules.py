@@ -171,9 +171,6 @@ class ModuleDesc:
     def is_zero_elem(self, a) -> bool:
         return self.reduce(a) == self.zero()
 
-    def format_elem(self, a) -> str:
-        return "(" + ", ".join(str(x) for x in self.reduce(a)) + ")"
-
 
 @record
 class ModuleElement:
@@ -229,14 +226,6 @@ def reassemble_coords(m: ModuleDesc, parts) -> tuple:
 
 def torsion_part(m: ModuleDesc) -> ModuleDesc:
     return ModuleDesc(tuple(m.summands[i] for i in m.torsion_part_indices))
-
-
-def is_divisible(m: ModuleDesc) -> bool:
-    return m.is_divisible()
-
-
-def is_bounded(m: ModuleDesc) -> bool:
-    return m.is_bounded()
 
 
 # -- f.g. Z-module machinery --------------------------------------------------

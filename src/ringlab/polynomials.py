@@ -1,18 +1,19 @@
-"""Dense univariate polynomials and desk-scale exact factorization.
+"""Dense univariate polynomials and exact factorization over GF(p) and Q.
 
 Over GF(p): squarefree decomposition, distinct-degree and equal-degree
 splitting (the equal-degree stage walks a deterministic candidate stream,
 so output order is reproducible).
 
-Over Q (v1 scope): squarefree decomposition, rational root extraction,
-quadratic/cubic handling, quartics via the resolvent cubic, and
-irreducibility certification by reduction modulo small primes.  Degrees
-whose factorization cannot be settled this way raise UnsupportedDegree.
+Over Q: Yun's squarefree decomposition, then Zassenhaus' method for each
+squarefree part: factor it modulo the smallest suitable prime p, Hensel-lift
+the factors modulo p^k past a Landau-Mignotte bound, and recombine them into
+integer factors that exact division confirms.  It settles every degree.
 """
 
 from __future__ import annotations
 
-from math import gcd as int_gcd, isqrt
+from itertools import combinations
+from math import gcd as int_gcd, isqrt, lcm
 
 from .domains import (
     Domain,
@@ -20,14 +21,17 @@ from .domains import (
     PrimeField,
     QQ,
     Rationals,
+    Residues,
+    _is_prime,
     poly_add,
     poly_divmod,
     poly_gcd,
     poly_mod,
     poly_mul,
     poly_trim,
+    poly_xgcd,
 )
-from .errors import InvariantViolation, UnsupportedDegree, UnsupportedDomain, ValidationError
+from .errors import InvariantViolation, UnsupportedDomain, ValidationError
 from .records import record
 
 
@@ -102,19 +106,6 @@ class Poly:
             if i >= 1
         ]
         return Poly(d, tuple(out))
-
-    def evaluate(self, a):
-        d = self.domain
-        acc = d.zero()
-        for c in reversed(self.coeffs):
-            acc = d.add(d.mul(acc, a), c)
-        return acc
-
-    def compose(self, other: "Poly") -> "Poly":
-        acc = Poly(self.domain, ())
-        for c in reversed(self.coeffs):
-            acc = acc.mul(other).add(Poly.constant(self.domain, c))
-        return acc
 
     def eq(self, other: "Poly") -> bool:
         return self.degree == other.degree and all(
@@ -285,166 +276,108 @@ def _factor_gfp(f: Poly):
     return out
 
 
-# -- factorization over Q -----------------------------------------------------
+# -- factorization over Q: Zassenhaus -----------------------------------------
 
 
-def _to_integer_coeffs(f: Poly):
-    denominator = 1
-    for c in f.coeffs:
-        denominator = denominator * c.denominator // int_gcd(denominator, c.denominator)
-    return [int(c * denominator) for c in f.coeffs]
+def _exact_quotient_z(g, h):
+    """g / h for integer coefficient lists, or None if h does not divide g over Z."""
+    g = list(g)
+    quo = [0] * (len(g) - len(h) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(g[i + len(h) - 1], h[-1])
+        if r:
+            return None
+        quo[i] = c
+        for j, y in enumerate(h):
+            g[i + j] -= c * y
+    return None if any(g) else quo
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _hensel_lift_pair(G: Poly, a: Poly, b: Poly, k: int):
+    """Monic A = a and B = b (mod p) with G = A*B (mod p^k): G monic over
+    Residues(p^k), a and b monic and coprime over GF(p) with G = a*b (mod p)."""
+    gf, ring = a.domain, G.domain
+    _, s, t = poly_xgcd(gf, a.coeffs, b.coeffs)  # s*a + t*b = 1
+    s, t = Poly(gf, s), Poly(gf, t)
+    A, B = Poly.from_ints(ring, a.coeffs), Poly.from_ints(ring, b.coeffs)
+    q = gf.p
+    for _ in range(k - 1):
+        # G - A*B = q*e (mod p*q); correct A by q*alpha and B by q*beta with
+        # alpha*b + beta*a = e, deg alpha < deg a and deg beta < deg b
+        e = Poly.from_ints(gf, [c // q for c in G.sub(A.mul(B)).coeffs])
+        quo, alpha = e.mul(t).divmod(a)
+        beta = e.mul(s).add(quo.mul(b))
+        A = A.add(Poly.from_ints(ring, [q * c for c in alpha.coeffs]))
+        B = B.add(Poly.from_ints(ring, [q * c for c in beta.coeffs]))
+        q *= gf.p
+    return A, B
 
 
-def _rational_roots(f: Poly):
-    """All rational roots of f (with multiplicity 1; f assumed squarefree)."""
-    roots = []
-    ints = _to_integer_coeffs(f)
-    while ints and ints[0] == 0:
-        roots.append(QQ.zero())
-        ints = ints[1:]
-    if len(ints) <= 1:
-        return roots
-    a0, an = ints[0], ints[-1]
-    seen = set()
-    for u in _divisors(a0):
-        for v in _divisors(an):
-            for sign in (1, -1):
-                cand = QQ.div(sign * u, v)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if f.evaluate(cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _rational_sqrt(q):
-    """The square root of q in Q, or None if q is not a rational square."""
-    if q < 0:
-        return None
-    nr, dr = isqrt(q.numerator), isqrt(q.denominator)
-    if nr * nr == q.numerator and dr * dr == q.denominator:
-        return QQ.div(nr, dr)
-    return None
-
-
-def _factor_quadratic_q(f: Poly):
-    # monic x^2 + bx + c, no precondition on roots
-    b, c = f.coeffs[1], f.coeffs[0]
-    root = _rational_sqrt(QQ.sub(QQ.mul(b, b), QQ.mul(4, c)))
-    if root is None:
-        return [f]
-    r1 = QQ.div(QQ.sub(root, b), 2)
-    r2 = QQ.div(QQ.neg(QQ.add(b, root)), 2)
-    return [Poly(QQ, (QQ.neg(r1), 1)), Poly(QQ, (QQ.neg(r2), 1))]
-
-
-def _factor_quartic_q(f: Poly):
-    """Monic quartic with no rational roots: split into quadratics or certify
-    irreducible, via the resolvent cubic of the depressed form."""
-    s = QQ.div(f.coeffs[3], 4)
-    g = f.compose(Poly(QQ, (QQ.neg(s), 1)))  # depressed: y^4 + P y^2 + Q y + R
-    P, Q, R = g.coeffs[2], g.coeffs[1], g.coeffs[0]
-    back = Poly(QQ, (s, 1))
-
-    def undepress(quads):
-        return [q.compose(back).monic() for q in quads]
-
-    p2_4r = QQ.sub(QQ.mul(P, P), QQ.mul(4, R))
-    if Q == 0:
-        # biquadratic: (y^2 + u)(y^2 + v), u + v = P, uv = R
-        disc = _rational_sqrt(p2_4r)
-        if disc is not None:
-            u = QQ.div(QQ.add(P, disc), 2)
-            v = QQ.div(QQ.sub(P, disc), 2)
-            return undepress([Poly(QQ, (u, 0, 1)), Poly(QQ, (v, 0, 1))])
-        # fall through: a biquadratic may still split with a != 0
-    resolvent = Poly(QQ, (QQ.neg(QQ.mul(Q, Q)), p2_4r, QQ.mul(2, P), 1))
-    for z in _rational_roots(resolvent):
-        if z <= 0:
-            continue
-        a = _rational_sqrt(z)
-        if a is None:
-            continue
-        pz, qa = QQ.add(P, z), QQ.div(Q, a)
-        b = QQ.div(QQ.sub(pz, qa), 2)
-        c = QQ.div(QQ.add(pz, qa), 2)
-        if QQ.mul(b, c) == R:
-            return undepress([Poly(QQ, (b, a, 1)), Poly(QQ, (c, QQ.neg(a), 1))])
-    return [f]
-
-
-_CERTIFICATION_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-
-
-def _certify_irreducible_modp(f: Poly) -> bool:
-    """True if f is irreducible mod some small prime where it stays squarefree
-    of full degree (which certifies irreducibility over Q)."""
-    ints = _to_integer_coeffs(f)
-    for p in _CERTIFICATION_PRIMES:
-        if ints[-1] % p == 0:
-            continue
-        gf = PrimeField(p)
-        fp = Poly.from_ints(gf, ints)
-        if fp.degree != f.degree:
-            continue
-        if gcd(fp, fp.derivative()).degree != 0:
-            continue
-        if len(_factor_gfp(fp)) == 1:
-            return True
-    return False
+def _zassenhaus(g):
+    """The irreducible factors over Z of a primitive squarefree integer
+    polynomial g (coefficient list, positive leading coefficient), each
+    primitive with a positive leading coefficient."""
+    lc = g[-1]
+    p = 2
+    while True:
+        if lc % p and _is_prime(p):
+            gp = Poly.from_ints(PrimeField(p), g)
+            if gcd(gp, gp.derivative()).degree == 0:
+                break
+        p += 1
+    modular = [h for h, _ in _factor_gfp(gp)]
+    # Landau-Mignotte: a factor h of g has |h_i| <= 2^deg(g) * |g|_2, so h
+    # scaled to leading coefficient lc lies in (-p^k/2, p^k/2)
+    bound = lc * 2 ** (len(g) - 1) * (isqrt(sum(c * c for c in g)) + 1)
+    k = 1
+    while p**k <= 2 * bound:
+        k += 1
+    ring = Residues(p**k)
+    rest = Poly.from_ints(ring, [c * pow(lc, -1, ring.m) for c in g])
+    lifted = []
+    for a in modular[:-1]:
+        # rest = a * (the later modular factors) mod p
+        b = Poly.from_ints(a.domain, rest.coeffs).exact_div(a)
+        factor, rest = _hensel_lift_pair(rest, a, b, k)
+        lifted.append(factor)
+    lifted.append(rest)
+    # recombine subsets of the lifted factors, smallest first: a subset whose
+    # product times lc is, read symmetrically mod p^k, a divisor of g over Z
+    # gives an irreducible factor, since every smaller subset is gone
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            product = Poly.constant(ring, lc)
+            for i in subset:
+                product = product.mul(lifted[i])
+            h = [c - ring.m if 2 * c > ring.m else c for c in product.coeffs]
+            content = int_gcd(*h)
+            h = [c // content for c in h]
+            quo = _exact_quotient_z(g, h)
+            if quo is not None:
+                factors.append(h)
+                g, lc = quo, quo[-1]
+                lifted = [f for i, f in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [g]
 
 
 def _factor_squarefree_q(f: Poly):
-    """Factor a monic squarefree rational polynomial within the v1 scope."""
-    if f.degree == 1:
-        return [f]
-    factors = []
-    rest = f
-    for root in sorted(_rational_roots(f)):
-        linear = Poly(QQ, (QQ.neg(root), 1))
-        factors.append(linear)
-        rest = rest.exact_div(linear)
-    if rest.degree == 0:
-        return factors
-    if rest.degree == 1:
-        return factors + [rest.monic()]
-    if rest.degree == 2:
-        return factors + _factor_quadratic_q(rest)
-    if rest.degree == 3:
-        return factors + [rest]  # cubic with no rational root is irreducible
-    if rest.degree == 4:
-        quartic = _factor_quartic_q(rest)
-        out = factors
-        for q in quartic:
-            out = out + (_factor_quadratic_q(q) if q.degree == 2 else [q])
-        return out
-    if _certify_irreducible_modp(rest):
-        return factors + [rest]
-    raise UnsupportedDegree(
-        f"cannot settle degree-{rest.degree} rational factorization in v1 "
-        "(squarefree, roots, quartic resolvent, mod-p certification all inconclusive)"
-    )
+    """Factor a monic squarefree rational polynomial into monic irreducibles."""
+    denominator = lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * denominator) for c in f.coeffs]
+    content = int_gcd(*ints)
+    return [Poly.from_ints(QQ, h).monic() for h in _zassenhaus([c // content for c in ints])]
 
 
 def _factor_q(f: Poly):
     out = []
     for squarefree, mult in _squarefree_q(f.monic()):
         for irreducible in _factor_squarefree_q(squarefree):
-            out.append((irreducible.monic(), mult))
+            out.append((irreducible, mult))
     return out
 
 

@@ -419,7 +419,7 @@ def test_gf_p_document_over_an_extension_reaches_every_stage():
     code, out, err = run_cli("analyze", path, "--extension=1,0,1")
     assert (code, err) == (0, "")
     assert "r_k_total: 6" in out
-    assert "idempotent: (1 + 5*t)*a0 + (4 + 1*t)*a1 + " in out
+    assert "idempotent: (1 + 5*t)*a0 + (4 + t)*a1 + " in out
 
 
 def test_a_failed_certificate_is_a_pipeline_error(monkeypatch):
@@ -736,3 +736,42 @@ def test_reports_print_plain_values(tmp_path):
     code, out, err = run_cli("analyze", _doc_file(tmp_path, doc))
     assert (code, out) == (1, "")
     assert "not a rational literal: ['1'] at table[0][0][0]" in err
+
+
+def test_a_degree5_algebra_splits_into_its_two_local_factors(tmp_path):
+    # Q[t]/((t^2 + 1)(t^3 + 2)) on the basis 1, t, ..., t^4: the probe t has
+    # a reducible quintic minimal polynomial with no rational root
+    from ringlab.domains import QQ
+    from ringlab.polynomials import Poly, pow_mod
+
+    f = Poly.from_ints(QQ, (1, 0, 1)).mul(Poly.from_ints(QQ, (2, 0, 0, 1)))
+
+    def power(k):
+        coeffs = pow_mod(Poly.x(QQ), k, f).coeffs
+        return [str(c) for c in coeffs] + ["0"] * (5 - len(coeffs))
+
+    doc = {
+        "kind": "commutative-algebra",
+        "domain": "Q",
+        "basis": [f"a{i}" for i in range(5)],
+        "table": [[power(i + j) for j in range(5)] for i in range(5)],
+    }
+    path = tmp_path / "two-factors.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    factors = json.loads(out)["local_factors"]
+    assert [(lf["dim"], lf["field_of_representatives"]["degree"]) for lf in factors] == [
+        (2, 2),
+        (3, 3),
+    ]
+
+
+def test_a_reducible_quintic_extension_is_invalid_input():
+    # t^5 + t^4 + t^3 + 2t^2 + 1 = (t^2 + 1)(t^3 + t^2 + 1) has no rational root
+    code, out, err = run_cli("analyze", input_path("q-alg6"), "--extension=1,0,2,1,1,1")
+    assert (code, out, err) == (
+        1,
+        "",
+        "ringlab: invalid input: extension minimal polynomial is reducible\n",
+    )

@@ -52,6 +52,12 @@ def test_extension_rejects_reducible_minpoly():
         Extension(QQ, [Fraction(-1), Fraction(0), Fraction(1)])  # t^2 - 1
 
 
+def test_extension_text_prints_a_unit_coefficient_bare():
+    k = Extension(PrimeField(7), [2, 0, 0, 1])  # -2 is not a cube mod 7
+    assert k.format_text((1, 1, 1)) == "1 + t + t^2"
+    assert k.format_text((0, 6, 2)) == "6*t + 2*t^2"
+
+
 def test_extension_over_gf2():
     gf2 = PrimeField(2)
     k = Extension(gf2, [1, 1, 1])  # t^2 + t + 1, GF(4)
@@ -104,8 +110,8 @@ def test_rational_results_are_int_exactly_when_integral(a, b, n):
 
 
 def test_rational_poly_factors_hold_no_float():
-    # (x^2+x+1/2)(x^2-x+3): the quartic solver's shift is 0/4, which a raw
-    # / on two ints would turn into a float
+    # (x^2+x+1/2)(x^2-x+3): factors read back from integer polynomials are
+    # made monic by division, which a raw / on two ints would turn into a float
     cases = [
         (Fraction(3, 2), Fraction(5, 2), Fraction(5, 2), 0, 1),
         (4, 0, -5, 0, 1),  # (x^2-1)(x^2-4): rational roots

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
@@ -165,11 +166,46 @@ def _factor_cases():
     return cases
 
 
-@pytest.mark.parametrize("expr", _factor_cases(), ids=str)
-def test_poly_factor_over_q_matches_factor_list(expr):
+def _assert_factor_list_agrees(expr):
     coeffs = _poly_from_sympy(expr)
     ours = poly_factor(Poly(QQ, coeffs))
     _, theirs = sympy.factor_list(expr, X)
     assert sorted((tuple(Fraction(c) for c in f.coeffs), m) for f, m in ours) == sorted(
         (_poly_from_sympy(f), m) for f, m in theirs
     )
+
+
+@pytest.mark.parametrize("expr", _factor_cases(), ids=str)
+def test_poly_factor_over_q_matches_factor_list(expr):
+    _assert_factor_list_agrees(expr)
+
+
+# a nonconstant rational polynomial, constant term first, often not monic
+RATIONAL_POLYS = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=4
+).flatmap(
+    lambda low: st.fractions(min_value=1, max_value=4, max_denominator=3).map(
+        lambda lead: tuple(low) + (lead,)
+    )
+)
+
+
+@st.composite
+def factor_lists(draw):
+    """One to four rational polynomials, and up to two of them again, so the
+    squarefree decomposition has work."""
+    parts = draw(st.lists(RATIONAL_POLYS, min_size=1, max_size=4))
+    return parts + draw(st.lists(st.sampled_from(parts), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_lists())
+# x^4 + 1 splits modulo every prime but not over Q
+@example([(F(1), F(0), F(0), F(0), F(1))])
+# each quadratic splits modulo many primes: recombination must pair the roots
+@example([(F(-2), F(0), F(1)), (F(-3), F(0), F(1)), (F(-5), F(0), F(1))])
+# the Swinnerton-Dyer polynomial of sqrt 2 + sqrt 3 + sqrt 5, irreducible over Q
+# with only linear and quadratic factors modulo every prime
+@example([tuple(F(c) for c in (576, 0, -960, 0, 352, 0, -40, 0, 1))])
+def test_poly_factor_over_q_matches_factor_list_on_products(parts):
+    _assert_factor_list_agrees(_sympy_poly_mul(*parts))

@@ -11,6 +11,12 @@ that meets one of them is exempt:
 - `str.isdigit` accepts non-ASCII digits (`²` fails in `int`, `١` reads
   as 1);
 - it refuses the JSON escapes `\\b` and `\\f`, which `json.dumps` writes.
+
+The new scanner is also stricter than the reference in two ways that JSON
+requires, and a text that it refuses for one of them is exempt:
+
+- a number with a leading zero, such as `012` or `-05`;
+- a raw control character, U+0000 to U+001F, inside a string.
 """
 
 import json
@@ -22,6 +28,8 @@ from ringlab.errors import ParseError
 from ringlab.records import record
 
 FLOAT_MESSAGE = "floating-point literals are not allowed"
+LEADING_ZERO_MESSAGE = "numbers must not have leading zeros"
+CONTROL_MESSAGE = "unescaped control character U+"
 
 # -- the reference: the Node-per-value scanner, unchanged ---------------------
 
@@ -237,8 +245,30 @@ def _tagged(value):
     return (type(value).__name__, value)
 
 
-def _exempt(text, reference):
-    """Whether text meets one of the reference's three faults."""
+def _offset(text, line, col):
+    """The offset of the 1-based (line, column) in text."""
+    start = 0
+    for _ in range(line - 1):
+        start = text.index("\n", start) + 1
+    return start + col - 1
+
+
+def _strictly_refused(text, new):
+    """Whether the new scanner refused text for a leading zero (the error
+    is at the digit after a 0) or a raw control character (at it)."""
+    if new[0] != "error":
+        return False
+    at = _offset(text, new[2], new[3])
+    if new[1].startswith(LEADING_ZERO_MESSAGE):
+        return text[at - 1] == "0" and text[at] in "0123456789"
+    return new[1].startswith(CONTROL_MESSAGE) and text[at] < " "
+
+
+def _exempt(text, reference, new):
+    """Whether text meets one of the reference's three faults, or the new
+    scanner refused it for one of its two stricter rules."""
+    if _strictly_refused(text, new):
+        return True
     if reference[0] == "error" and reference[1].startswith(
         ("unsupported escape \\b ", "unsupported escape \\f ")
     ):
@@ -292,17 +322,39 @@ def test_plain_values_and_errors_match_the_reference(text):
     except ValueError:  # int() on a non-ASCII digit
         reference = ("crash",)
     new = _outcome(parse_json, text)
-    assert new == reference or _exempt(text, reference)
+    assert new == reference or _exempt(text, reference, new)
+
+
+def _exempt_text(text):
+    return _exempt(text, _outcome(_reference, text), _outcome(parse_json, text))
 
 
 def test_the_exemptions_are_the_number_fixes():
     for text in ("12", "[12", "-", "[١]"):
         assert _outcome(parse_json, text) != _outcome(_reference, text)
-        assert _exempt(text, _outcome(_reference, text))
+        assert _exempt_text(text)
 
 
 def test_the_escape_exemption_is_backspace_and_form_feed():
     for text, value in (('["\\b"]', ["\b"]), ('{"a\\f": 1}', {"a\f": 1})):
         assert parse_json(text) == value
-        assert _exempt(text, _outcome(_reference, text))
-    assert not _exempt('["\\q"]', _outcome(_reference, '["\\q"]'))
+        assert _exempt_text(text)
+    assert not _exempt_text('["\\q"]')
+
+
+def test_the_strict_exemptions_are_leading_zeros_and_raw_control_characters():
+    for text, message, line, col in (
+        ("[012]", LEADING_ZERO_MESSAGE, 1, 3),
+        ('{"a": -05}', LEADING_ZERO_MESSAGE, 1, 9),
+        ("[1,\n 00]", LEADING_ZERO_MESSAGE, 2, 3),
+        ('["a\tb"]', CONTROL_MESSAGE + "0009 in a string", 1, 4),
+        ('{"\u0000": 1}', CONTROL_MESSAGE + "0000 in a string", 1, 3),
+        ('["x\ny"]', CONTROL_MESSAGE + "000A in a string", 1, 4),
+    ):
+        assert _outcome(_reference, text)[0] == "value"
+        assert _outcome(parse_json, text) == ("error", f"{message} (line {line}, column {col})", line, col)
+        assert _exempt_text(text)
+    # what stays legal: a lone 0, -0, escaped control characters
+    for text, value in (("[0, -0, 10]", [0, 0, 10]), ('["\\t\\u0001"]', ["\t\x01"])):
+        assert parse_json(text) == value
+        assert not _exempt_text(text)

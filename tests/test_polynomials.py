@@ -152,10 +152,7 @@ def test_rational_products_refactor(c1, c2):
     assert expand(factors, QQ).eq(prod.monic())
 
 
-def test_degree5_reducible_is_out_of_v1_scope():
-    from ringlab.errors import UnsupportedDegree
-
-    # (x^2+1)(x^3+x^2+1): squarefree, reducible, degree 5
+def test_degree5_reducible_factors_into_its_two_factors():
+    # (x^2+1)(x^3+x^2+1): squarefree, reducible, degree 5, no rational root
     f = qpoly(1, 0, 1).mul(qpoly(1, 0, 1, 1))
-    with pytest.raises(UnsupportedDegree):
-        poly_factor(f)
+    assert [(g.coeffs, m) for g, m in poly_factor(f)] == [((1, 0, 1), 1), ((1, 0, 1, 1), 1)]
