@@ -301,6 +301,27 @@ def test_non_utf8_document_is_invalid_input(tmp_path):
     assert "(line 1, column 1)" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"kind": "ring", "domain": {"gf": 07}, "basis": ["x"], "table": [[["0"]]]}',
+            "numbers must not have leading zeros (line 1, column 36)",
+        ),
+        (
+            '{"kind": "ring", "domain": "Q", "basis": ["x\ty"], "table": [[["0"]]]}',
+            "unescaped control character U+0009 in a string (line 1, column 45)",
+        ),
+    ],
+    ids=["leading-zero", "raw-tab"],
+)
+def test_json_that_other_readers_refuse_is_invalid_input(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, out, err) == (1, "", f"ringlab: invalid input: {message}\n")
+
+
 def test_lone_surrogate_escape_is_invalid_input(tmp_path):
     # json.dumps writes a lone surrogate as the escape \ud800
     doc = json.loads(fixture_text("h3"))
