@@ -45,7 +45,7 @@ from .lie import (
     group_pow,
     verify_nilpotent_lie,
 )
-from .linalg import Matrix, kernel_basis, rref, smith_normal_form, solve
+from .linalg import Matrix, echelon, kernel_basis, rref, smith_normal_form, solve
 from .modules import (
     Lattice,
     ModuleDesc,

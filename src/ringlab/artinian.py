@@ -161,9 +161,7 @@ def radical(a: CommutativeAlgebra):
                     acc = d.add(acc, d.mul(a.tensor[i][j][k], traces[k]))
                 row.append(acc)
             rows.append(tuple(row))
-        kern = kernel_basis(Matrix.from_rows(d, rows))
-        cols = [kern.col(j) for j in range(kern.cols)]
-        return list(Subspace.span(d, cols, a.dim).rows)
+        return list(Subspace.span(d, kernel_basis(d, rows, a.dim), a.dim).rows)
     if isinstance(d, PrimeField):
         p = d.p
         e = 1
@@ -174,9 +172,8 @@ def radical(a: CommutativeAlgebra):
             for _ in range(e):
                 x = a.power(x, p)
             cols.append(x)
-        kern = kernel_basis(Matrix.from_cols(d, cols))
-        vecs = [kern.col(j) for j in range(kern.cols)]
-        return list(Subspace.span(d, vecs, a.dim).rows)
+        # the c with (sum c_k b_k)^(p^e) = sum c_k x_k = 0: one row per coordinate
+        return list(Subspace.span(d, kernel_basis(d, zip(*cols), a.dim), a.dim).rows)
     restricted, up = _restrict_scalars(a)  # an extension of GF(p)
     lifted = [up(row) for row in radical(restricted)]
     return list(Subspace.span(d, lifted, a.dim).rows)

@@ -15,7 +15,8 @@ read it, not the dense tensor.
 
 Subspace is the one echelon type over a field: every span, membership,
 coordinate, complement, intersection and greedy basis extension in
-ringlab goes through it, and only it runs rref on a span.
+ringlab goes through it.  Its rows, pivots and greedy picks all come from
+one linalg.echelon of the spanning vectors.
 
 Carrier.span is the one place that picks a span type: a Subspace over a
 field, a modules.Lattice over Z, a BlockSpan of the two on a mixed
@@ -37,7 +38,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, inverse, kernel_basis, rref, unit_vectors
+from .linalg import Matrix, echelon, inverse, kernel_basis, unit_vectors
 from .modules import (
     CYCLIC,
     RATIONAL,
@@ -310,11 +311,10 @@ class Subspace:
     @staticmethod
     def span(domain: Domain, vectors, width: int) -> "Subspace":
         basis = tuple(tuple(v) for v in vectors)
-        nonzero = [v for v in basis if not all(domain.is_zero(x) for x in v)]
-        if not nonzero:
-            return Subspace(domain, width, (), (), basis)
-        reduced, pivots, rank = rref(Matrix.from_rows(domain, nonzero))
-        return Subspace(domain, width, tuple(reduced.row(i) for i in range(rank)), pivots, basis)
+        pivots, reduced, _ = echelon(domain, basis)
+        zero = domain.zero()
+        rows = tuple(tuple(row.get(j, zero) for j in range(width)) for row in reduced)
+        return Subspace(domain, width, rows, pivots, basis)
 
     @property
     def independent(self) -> bool:
@@ -373,13 +373,10 @@ class Subspace:
         return Subspace.span(d, [r[w:] for r, p in zip(both.rows, both.pivots) if p >= w], w)
 
     def extend(self, candidates):
-        """Indices of the candidates that enlarge the span, greedily in
-        order: the pivot columns past rows of [rows | candidates]^T."""
-        cols = list(self.rows) + [tuple(c) for c in candidates]
-        if not cols:
-            return []
-        _, pivots, _ = rref(Matrix.from_cols(self.domain, cols))
-        return [p - len(self.rows) for p in pivots[len(self.rows):]]
+        """Indices of the candidates that enlarge the span, greedily in order."""
+        k = len(self.rows)
+        _, _, enlarged = echelon(self.domain, list(self.rows) + list(candidates))
+        return [i - k for i in enlarged[k:]]
 
 
 @record
@@ -485,11 +482,7 @@ def _field_kernel(f: BilinearMap):
         for t in range(f.n.dim):
             rows.append(tuple(f.tensor[i][j][t] for i in range(f.m.dim)))
             rows.append(tuple(f.tensor[j][i][t] for i in range(f.m.dim)))
-    if not rows:
-        return unit_vectors(d, f.m.dim)
-    kern = kernel_basis(Matrix.from_rows(d, rows))
-    cols = [kern.col(j) for j in range(kern.cols)]
-    return list(Subspace.span(d, cols, f.m.dim).rows)
+    return list(Subspace.span(d, kernel_basis(d, rows, f.m.dim), f.m.dim).rows)
 
 
 def _integer_kernel(f: BilinearMap):

@@ -75,7 +75,8 @@ class Domain:
         return self.sub(a, b) == self.zero()
 
     def add_scaled(self, acc, c, row, cols):
-        """acc[j] += c * row[j] for each j in cols, in place on the list acc."""
+        """acc[j] += c * row[j] for each j in cols, in place on acc (a list,
+        or a dict that holds every j)."""
         add, mul = self.add, self.mul
         for j in cols:
             acc[j] = add(acc[j], mul(c, row[j]))

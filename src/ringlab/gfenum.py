@@ -18,7 +18,7 @@ from operator import add, mul
 
 from .domains import PrimeField
 from .errors import EnumerationTooLarge, InvariantViolation
-from .linalg import Matrix, rref
+from .linalg import echelon
 
 _ENUM_CAP = 40_000_000
 # digit masks kept per width search; past this many bits a mask is rebuilt
@@ -137,9 +137,8 @@ def product_width(tensor, gens, p: int, bound: int) -> int | None:
     field = PrimeField(p)
     bases = {}
     for image in images:
-        rows = (image[j * r : (j + 1) * r] for j in range(m))
-        reduced, _, rank = rref(Matrix.from_rows(field, rows))
-        bases.setdefault(tuple(reduced.row(i) for i in range(rank)), None)
+        _, reduced, _ = echelon(field, (image[j * r : (j + 1) * r] for j in range(m)))
+        bases.setdefault(tuple(tuple(row.get(t, 0) for t in range(r)) for row in reduced), None)
     weights = [p ** (r - 1 - t) for t in range(r)]
     keys = {0}
     for basis in bases:

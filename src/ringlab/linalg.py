@@ -2,11 +2,11 @@
 normal forms over the coefficient domains.
 
 Matrices are immutable row-major tuples; all routines are pure functions.
-Field routines (rref, kernel_basis, solve) require a field domain and run
-every row operation through the domain's add_scaled kernel; solve reads its
-kernel off its reduction of [m | b], whose first m.cols columns are the
-reduced form of m.  The integer routines (smith_normal_form, hermite and the
-integer solve/kernel) require INTEGERS.
+echelon is the one row reduction over a field: it reads sparse or dense
+rows and runs every row operation through the domain's add_scaled kernel.
+rref, kernel_basis, solve, inverse and bilinear.Subspace read it; solve
+reduces [m | b] and inverse [m | I].  The integer routines
+(smith_normal_form, hermite and the integer solve/kernel) require INTEGERS.
 """
 
 from __future__ import annotations
@@ -149,57 +149,85 @@ class Matrix:
 # -- field linear algebra --------------------------------------------------
 
 
-def rref(m: Matrix):
-    """Reduced row-echelon form over a field: (matrix, pivot columns, rank).
-    The pivot row is zero before col, so its normalisation and each row
-    update run over its nonzero columns only."""
-    require_field(m.domain, "rref")
-    d = m.domain
-    zero = d.zero()
-    rows = m.row_list()
-    pivots = []
-    piv_row = 0
-    for col in range(m.cols):
-        sel = next((r for r in range(piv_row, m.rows) if not d.is_zero(rows[r][col])), None)
-        if sel is None:
+def _add_scaled(d: Domain, acc: dict, c, row: dict):
+    """acc += c * row on sparse rows; an entry that cancels stays as a zero."""
+    for j in row:
+        if j not in acc:
+            acc[j] = d.zero()
+    d.add_scaled(acc, c, row, row)
+
+
+def echelon(domain: Domain, rows):
+    """The reduced row-echelon form of the span of rows, over a field.
+
+    Each row is a {column: entry} dict or a sequence.  Each row is reduced
+    against the pivot rows found so far, which are zero at each other's
+    pivots; a row left nonzero is normalised at its first column, and that
+    column is cleared from the earlier pivot rows.  Returns the pivots in
+    ascending order, the reduced rows as {column: nonzero entry} dicts in
+    the same order, and the indices of the rows that enlarged the span.
+    The reduced form of a row space is unique, so the order of the rows
+    changes the work, never the result.
+    """
+    require_field(domain, "echelon")
+    d = domain
+    is_zero = d.is_zero
+    found = {}  # pivot column -> its row, zero left of it and at every other pivot
+    enlarged = []
+    for k, row in enumerate(rows):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        v = {j: x for j, x in items if not is_zero(x)}
+        for p in [j for j in v if j in found]:
+            _add_scaled(d, v, d.neg(v[p]), found[p])
+        v = {j: x for j, x in v.items() if not is_zero(x)}
+        if not v:
             continue
-        rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
-        found = rows[piv_row]
-        support = [j for j in range(col, m.cols) if not d.is_zero(found[j])]
-        inv = d.inv(found[col])
-        prow = rows[piv_row] = [zero] * m.cols
-        for j in support:
-            prow[j] = d.mul(inv, found[j])
-        for r, row in enumerate(rows):
-            if r != piv_row and not d.is_zero(row[col]):
-                d.add_scaled(row, d.neg(row[col]), prow, support)
-        pivots.append(col)
-        piv_row += 1
-    flat = tuple(x for row in rows for x in row)
-    return Matrix(d, m.rows, m.cols, flat), tuple(pivots), len(pivots)
+        p = min(v)
+        inv = d.inv(v[p])
+        v = {j: d.mul(inv, x) for j, x in v.items()}
+        for r in found.values():
+            if p in r:
+                if not is_zero(r[p]):
+                    _add_scaled(d, r, d.neg(r[p]), v)
+                del r[p]
+        found[p] = v
+        enlarged.append(k)
+    pivots = tuple(sorted(found))
+    reduced = [{j: x for j, x in found[p].items() if not is_zero(x)} for p in pivots]
+    return pivots, reduced, enlarged
 
 
-def rank(m: Matrix) -> int:
-    return rref(m)[2]
+def rref(m: Matrix):
+    """The reduced row-echelon form of m as a Matrix of m's shape, its rows
+    past the rank zero: (matrix, pivot columns, rank)."""
+    d = m.domain
+    pivots, reduced, _ = echelon(d, (m.row(i) for i in range(m.rows)))
+    zero = d.zero()
+    entries = tuple(row.get(j, zero) for row in reduced for j in range(m.cols))
+    entries += (zero,) * ((m.rows - len(pivots)) * m.cols)
+    return Matrix(d, m.rows, m.cols, entries), pivots, len(pivots)
 
 
-def _kernel_from(reduced: Matrix, pivots, cols: int) -> Matrix:
-    """Kernel columns of a reduced form's first cols columns, which hold every pivot."""
-    d = reduced.domain
-    basis = []
-    for fc in (j for j in range(cols) if j not in pivots):
-        vec = [d.zero()] * cols
-        vec[fc] = d.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = d.neg(reduced.get(r, fc))
-        basis.append(vec)
-    return Matrix.from_cols(d, basis) if basis else Matrix(d, cols, 0, ())
+def _kernel_from(d: Domain, pivots, reduced, width: int) -> list:
+    """The kernel vectors of the first width columns of an echelon form
+    whose pivots all lie among them, one per free column."""
+    pivot_set = set(pivots)
+    kernel = {j: [d.zero()] * width for j in range(width) if j not in pivot_set}
+    for j, vec in kernel.items():
+        vec[j] = d.one()
+    for pc, row in zip(pivots, reduced):
+        for j, c in row.items():
+            if j in kernel:
+                kernel[j][pc] = d.neg(c)
+    return [tuple(vec) for vec in kernel.values()]
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns spanning {x : m.x = 0}, over a field; cols - rank columns."""
-    reduced, pivots, _ = rref(m)
-    return _kernel_from(reduced, pivots, m.cols)
+def kernel_basis(domain: Domain, rows, width: int) -> list:
+    """{x in domain^width : r.x = 0 for every row r}, over a field: one
+    vector per free column, 1 there and 0 at the other free columns.
+    rows are {column: entry} dicts or sequences, as echelon reads them."""
+    pivots, reduced, _ = echelon(domain, rows)
+    return _kernel_from(domain, pivots, reduced, width)
 
 
 def solve(m: Matrix, b):
@@ -207,29 +235,28 @@ def solve(m: Matrix, b):
 
     b is a coordinate sequence of length m.rows.
     """
-    require_field(m.domain, "solve")
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != {m.rows} rows")
     d = m.domain
-    aug = m.hstack(Matrix.from_cols(d, [b]))
-    reduced, pivots, _ = rref(aug)
+    pivots, reduced, _ = echelon(d, (m.row(i) + (b[i],) for i in range(m.rows)))
     if m.cols in pivots:
         return None
     x = [d.zero()] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.get(r, m.cols)
-    return tuple(x), _kernel_from(reduced, pivots, m.cols)
+    for pc, row in zip(pivots, reduced):
+        x[pc] = row.get(m.cols, x[pc])
+    return tuple(x), _kernel_from(d, pivots, reduced, m.cols)
 
 
 def inverse(m: Matrix) -> Matrix:
-    require_field(m.domain, "inverse")
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
-    aug = m.hstack(Matrix.identity(m.domain, m.rows))
-    reduced, pivots, rk = rref(aug)
-    if rk < m.rows or any(p >= m.rows for p in pivots):
+    d, n = m.domain, m.rows
+    units = unit_vectors(d, n)
+    pivots, reduced, _ = echelon(d, (m.row(i) + units[i] for i in range(n)))
+    if pivots != tuple(range(n)):
         raise NotInvertible("matrix is singular")
-    return reduced.submatrix(range(m.rows), range(m.rows, 2 * m.rows))
+    zero = d.zero()
+    return Matrix(d, n, n, tuple(row.get(n + j, zero) for row in reduced for j in range(n)))
 
 
 # -- integer linear algebra -------------------------------------------------

@@ -92,10 +92,6 @@ class ModuleDesc:
         return self.indices(CYCLIC)
 
     @property
-    def torsion_part_indices(self) -> tuple:
-        return self.indices(CYCLIC)
-
-    @property
     def free_part(self) -> tuple:
         return self.indices(FREE)
 
@@ -225,7 +221,7 @@ def reassemble_coords(m: ModuleDesc, parts) -> tuple:
 
 
 def torsion_part(m: ModuleDesc) -> ModuleDesc:
-    return ModuleDesc(tuple(m.summands[i] for i in m.torsion_part_indices))
+    return ModuleDesc(tuple(m.summands[i] for i in m.bounded_part))
 
 
 # -- f.g. Z-module machinery --------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
 )
-from .linalg import Matrix, inverse, kernel_basis, rref
+from .linalg import Matrix, echelon, inverse, kernel_basis
 from .records import field, record, replace
 
 _ZN_ENUM_CAP = 81  # |M| cap for the enumerated diagnostic
@@ -59,9 +59,9 @@ class EndoAlgebra:
 
     @staticmethod
     def from_vectors(domain: Domain, dim: int, vectors) -> "EndoAlgebra":
-        echelon = Subspace.span(domain, vectors, dim * dim)
+        spanned = Subspace.span(domain, vectors, dim * dim)
         # the same span with its echelon rows as basis, so coords read them
-        space = Subspace(domain, dim * dim, echelon.rows, echelon.pivots, echelon.rows)
+        space = Subspace(domain, dim * dim, spanned.rows, spanned.pivots, spanned.rows)
         mats = tuple(Matrix(domain, dim, dim, r) for r in space.rows)
         closed = all(space.contains(a.mul(b).entries) for a in mats for b in mats)
         unital = space.contains(Matrix.identity(domain, dim).entries)
@@ -119,26 +119,17 @@ def symmetric_endos(f: BilinearMap) -> EndoAlgebra:
     _require_field_map(f, "symmetric_endos")
     d = f.m.domain
     n = f.m.dim
+    zero = d.zero()
     rows = []
     for i in range(n):
         for j in range(n):
             for t in range(f.n.dim):
-                row = [d.zero()] * (n * n)
+                row = {}
                 for l in range(n):
-                    row[l * n + i] = d.add(row[l * n + i], f.tensor[l][j][t])
-                    row[l * n + j] = d.sub(row[l * n + j], f.tensor[i][l][t])
-                rows.append(tuple(row))
-    if not rows:
-        # no constraints (zero-dimensional codomain): all of End(M)
-        vectors = []
-        for r in range(n):
-            for c in range(n):
-                e = [d.zero()] * (n * n)
-                e[r * n + c] = d.one()
-                vectors.append(tuple(e))
-        return EndoAlgebra.from_vectors(d, n, vectors)
-    kern = kernel_basis(Matrix.from_rows(d, rows))
-    return EndoAlgebra.from_vectors(d, n, [kern.col(j) for j in range(kern.cols)])
+                    row[l * n + i] = d.add(row.get(l * n + i, zero), f.tensor[l][j][t])
+                    row[l * n + j] = d.sub(row.get(l * n + j, zero), f.tensor[i][l][t])
+                rows.append(row)
+    return EndoAlgebra.from_vectors(d, n, kernel_basis(d, rows, n * n))
 
 
 def z_center(f: BilinearMap, sym: EndoAlgebra | None = None) -> EndoAlgebra:
@@ -146,19 +137,14 @@ def z_center(f: BilinearMap, sym: EndoAlgebra | None = None) -> EndoAlgebra:
     if sym is None:
         sym = symmetric_endos(f)
     d = sym.domain
-    if not sym.basis:
-        return sym
     rows = []
     for b in sym.basis:
         comms = [a.mul(b).sub(b.mul(a)) for a in sym.basis]
         for r in range(sym.dim):
             for c in range(sym.dim):
                 rows.append(tuple(comm.get(r, c) for comm in comms))
-    kern = kernel_basis(Matrix.from_rows(d, rows))
-    vectors = []
-    for j in range(kern.cols):
-        vectors.append(sym.combine(kern.col(j)).entries)
-    return EndoAlgebra.from_vectors(d, sym.dim, vectors)
+    kern = kernel_basis(d, rows, sym.rank)
+    return EndoAlgebra.from_vectors(d, sym.dim, [sym.combine(v).entries for v in kern])
 
 
 def _tensor_action_vector(a_mat: Matrix, kappa, n: int, d: Domain):
@@ -178,8 +164,6 @@ def _stabilizer_inside(f: BilinearMap, z: EndoAlgebra, kernel_vectors) -> EndoAl
     d = f.m.domain
     n = f.m.dim
     tmat = tensor_matrix(f)
-    if not z.basis:
-        return z
     rows = []
     for kappa in kernel_vectors:
         images = [
@@ -187,11 +171,8 @@ def _stabilizer_inside(f: BilinearMap, z: EndoAlgebra, kernel_vectors) -> EndoAl
         ]
         for t in range(f.n.dim):
             rows.append(tuple(img[t] for img in images))
-    if not rows:
-        return z
-    kern = kernel_basis(Matrix.from_rows(d, rows))
-    vectors = [z.combine(kern.col(j)).entries for j in range(kern.cols)]
-    return EndoAlgebra.from_vectors(d, n, vectors)
+    kern = kernel_basis(d, rows, z.rank)
+    return EndoAlgebra.from_vectors(d, n, [z.combine(v).entries for v in kern])
 
 
 @record
@@ -212,25 +193,20 @@ def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
     """The A in End(M) with f(Ax, y) = f(x, Ay) = C f(x, y) for a linear C
     on im(f), and, when eta (dim M x dim N) is given, A eta = eta C on im(f).
 
-    The unknowns are the n^2 entries of A.  The rref of tensor_matrix(f)
+    The unknowns are the n^2 entries of A.  The echelon of tensor_matrix(f)
     picks the first basis pairs p_k whose values span im(f) and writes
     every pair's value in the basis f(p_k); C is fixed by C f(p_k) =
     f(A p_k), so every condition is linear in A.  Each C is returned in
     the coordinates of the echelon image rows.
 
     Each condition is built as a sparse row (unknown -> coefficient) from
-    the nonzero entries of the reduced tensor matrix and of eta f.  Zero
-    and repeated rows are dropped before kernel_basis: they do not change
-    the row space, the kernel depends only on it, and the rref it is read
-    from is unique, so the basis is the one the whole system gives.
+    the nonzero entries of the reduced tensor matrix and of eta f, and
+    kernel_basis reads these rows as they are built.
     """
     _require_field_map(f, "centroid_of")
     d = f.m.domain
     n = f.m.dim
     zero = d.zero()
-
-    def sparse(rows):
-        return [{q: c for q, c in enumerate(row) if not d.is_zero(c)} for row in rows]
 
     def moved(rows, q, left=True):
         """For each sparse row v over basis pairs, the linear form A -> v at
@@ -239,20 +215,19 @@ def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
         at = [(l * n + i, l * n + j) if left else (l * n + j, i * n + l) for l in range(n)]
         return [{u: v[w] for u, w in at if w in v} for v in rows]
 
-    equations = {}  # the distinct rows, keyed by their nonzero items
+    equations = []
 
     def keep(plus, minus):
         row = dict(plus)
         for u, c in minus.items():
             row[u] = d.sub(row.get(u, zero), c)
-        equations[tuple(sorted((u, c) for u, c in row.items() if not d.is_zero(c)))] = None
+        equations.append(row)
 
     tmat = tensor_matrix(f)
-    reduced, pairs, r = rref(tmat)
-    coef = sparse(reduced.row_list()[:r])  # column q: f(q) in the basis f(p_k)
+    pairs, coef, _ = echelon(d, tmat.row_list())  # column q: f(q) in the basis f(p_k)
     images = [moved(coef, p) for p in pairs]  # C f(p_k) = f(A p_k)
     for q in range(n * n):
-        scaled = [{} for _ in range(r)]  # C f(q)
+        scaled = [{} for _ in pairs]  # C f(q)
         for row, image in zip(coef, images):
             if q in row:
                 for acc, form in zip(scaled, image):
@@ -262,16 +237,14 @@ def centroid_of(f: BilinearMap, eta: Matrix | None = None) -> ScalarRingReport:
             for acc, form in zip(scaled, moved(coef, q, left)):
                 keep(acc, form)
     if eta is not None:
-        eta_f = sparse(eta.mul(tmat).row_list())
+        eta_f = [
+            {q: c for q, c in enumerate(row) if not d.is_zero(c)} for row in eta.mul(tmat).row_list()
+        ]
         for p in pairs:
             # A eta f(p_k) = eta C f(p_k) = eta f(A p_k)
             for u, form in enumerate(moved(eta_f, p)):
                 keep({u * n + s: row[p] for s, row in enumerate(eta_f) if p in row}, form)
-    equations.pop((), None)
-    # with no condition left, all of End(M)
-    rows = [[row.get(u, zero) for u in range(n * n)] for row in map(dict, equations or [()])]
-    kern = kernel_basis(Matrix.from_rows(d, rows))
-    algebra = EndoAlgebra.from_vectors(d, n, [kern.col(c) for c in range(kern.cols)])
+    algebra = EndoAlgebra.from_vectors(d, n, kernel_basis(d, equations, n * n))
     # C = [f(A p_k)] B^-1 with B = [f(p_k)], both read at the pivots of
     # the echelon image rows, which are the image-row coordinates
     image = Subspace.span(d, image_submodule(f), f.n.dim)

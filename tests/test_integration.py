@@ -311,7 +311,8 @@ def test_cli_and_analyze_leave_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
 
 
-def test_no_module_imports_numpy():
+def _module_trees():
+    """(file name, parsed tree) of each module under src/ringlab."""
     import ast
     import os
 
@@ -319,10 +320,15 @@ def test_no_module_imports_numpy():
 
     src = os.path.dirname(ringlab.__file__)
     for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_no_module_imports_numpy():
+    import ast
+
+    for name, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -331,6 +337,21 @@ def test_no_module_imports_numpy():
             else:
                 continue
             assert not any(m.split(".")[0] == "numpy" for m in modules), f"{name} imports numpy"
+
+
+def test_only_linalg_reduces_rows_over_a_field():
+    # every field elimination reads linalg.echelon; rref is its Matrix
+    # wrapper, which the package re-exports and no other module imports
+    import ast
+
+    for name, tree in _module_trees():
+        if name in ("linalg.py", "__init__.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "rref" not in [alias.name for alias in node.names], f"{name} imports rref"
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "rref", f"{name} reads {ast.unparse(node)}"
 
 
 def test_cli_analyze_and_malcev_leave_dataclasses_and_inspect_unloaded():

@@ -10,6 +10,7 @@ from ringlab.errors import InvariantViolation, NonFieldDomain, NotInvertible, Pi
 from ringlab.linalg import (
     Matrix,
     det_int,
+    echelon,
     hermite_column_form,
     inverse,
     kernel_basis,
@@ -59,21 +60,22 @@ def test_rref_is_left_equivalent_and_idempotent():
 
 
 def test_kernel_zero_map():
-    k = kernel_basis(Matrix.zero(QQ, 2, 2))
-    assert k.cols == 2
+    assert kernel_basis(QQ, [(0, 0), (0, 0)], 2) == [(1, 0), (0, 1)]
+
+
+def test_kernel_of_no_rows_is_every_unit_vector():
+    assert kernel_basis(QQ, [], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis(QQ, [], 0) == []
 
 
 def test_kernel_single_relation():
-    k = kernel_basis(qmat([[1, 1]]))
-    assert k.cols == 1
-    col = k.col(0)
-    assert col[0] == -col[1] != 0
+    (vec,) = kernel_basis(QQ, qmat([[1, 1]]).row_list(), 2)
+    assert vec[0] == -vec[1] != 0
 
 
 def test_kernel_injective_gf3():
     gf3 = PrimeField(3)
-    k = kernel_basis(Matrix.identity(gf3, 2))
-    assert k.cols == 0
+    assert kernel_basis(gf3, [{0: 1}, {1: 1}], 2) == []
 
 
 def test_solve_identity():
@@ -85,7 +87,7 @@ def test_solve_homogeneous_kernel():
     res = solve(qmat([[1, 1]]), (Fraction(0),))
     assert res is not None
     x, kern = res
-    assert x == (0, 0) and kern.cols == 1
+    assert x == (0, 0) and len(kern) == 1
 
 
 def test_solve_inconsistent():
@@ -95,6 +97,10 @@ def test_solve_inconsistent():
 def test_solve_requires_field():
     with pytest.raises(NonFieldDomain):
         rref(zmat([[1]]))
+
+
+def test_inverse_of_the_empty_matrix_is_empty():
+    assert inverse(Matrix(QQ, 0, 0, ())) == Matrix(QQ, 0, 0, ())
 
 
 def test_inverse_roundtrip():
@@ -345,16 +351,28 @@ def test_row_kernel_keeps_integral_rationals_as_ints():
 
 
 def check_against_reference(d, m, b):
+    dense_rows = [m.row(i) for i in range(m.rows)]
     reduced, pivots, rk = rref(m)
-    ref_rows, ref_pivots = reference_rref(d, [m.row(i) for i in range(m.rows)], m.cols)
+    ref_rows, ref_pivots = reference_rref(d, dense_rows, m.cols)
     assert [list(reduced.row(i)) for i in range(reduced.rows)] == ref_rows
     assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
     assert pivots == ref_pivots and rk == len(ref_pivots)
 
-    kern = kernel_basis(m)
+    kern = kernel_basis(d, dense_rows, m.cols)
     ref_kern = reference_kernel(d, ref_rows, ref_pivots, m.cols)
-    assert (kern.rows, kern.cols) == (m.cols, len(ref_kern))
-    assert [kern.col(j) for j in range(kern.cols)] == ref_kern
+    assert kern == ref_kern
+
+    # the same rows as {column: entry} dicts, zeros kept, last row first
+    last_first = dense_rows[::-1]
+    sparse_rows = [dict(enumerate(row)) for row in last_first]
+    sparse_pivots, sparse_reduced, enlarged = echelon(d, sparse_rows)
+    zero = d.from_int(0)
+    assert sparse_pivots == ref_pivots
+    assert [[row.get(j, zero) for j in range(m.cols)] for row in sparse_reduced] == ref_rows[:rk]
+    assert all(x != zero for row in sparse_reduced for x in row.values())
+    ranks = [len(reference_rref(d, last_first[:k], m.cols)[1]) for k in range(m.rows + 1)]
+    assert enlarged == [k for k in range(m.rows) if ranks[k + 1] > ranks[k]]
+    assert kernel_basis(d, sparse_rows, m.cols) == ref_kern
 
     res = solve(m, b)
     aug_rows, aug_pivots = reference_rref(
@@ -369,8 +387,19 @@ def check_against_reference(d, m, b):
             ref_x[pc] = aug_rows[r][m.cols]
         assert list(x) == ref_x and m.apply(x) == tuple(b)
         assert solve_kern == kern
+
+    if m.rows == m.cols:
+        n, one = m.rows, d.from_int(1)
+        units = [tuple(one if k == i else zero for k in range(n)) for i in range(n)]
+        inv_rows, inv_pivots = reference_rref(d, [r + e for r, e in zip(dense_rows, units)], 2 * n)
+        if inv_pivots == tuple(range(n)):
+            assert inverse(m).row_list() == [r[n:] for r in inv_rows]
+        else:
+            with pytest.raises(NotInvertible):
+                inverse(m)
     if d == QQ:
         assert_q_normal(reduced.entries)
-        assert_q_normal(kern.entries)
+        assert_q_normal(x for row in sparse_reduced for x in row.values())
+        assert_q_normal(x for vec in kern for x in vec)
         if res is not None:
             assert_q_normal(res[0])

@@ -127,8 +127,7 @@ def test_action_well_defined_on_random_relation_representatives():
     rng = random.Random(13)
     rep = p_of_f(ALT_SUM)
     tmat = tensor_matrix(ALT_SUM)
-    kern = kernel_basis(tmat)
-    kernel = [kern.col(j) for j in range(kern.cols)]
+    kernel = kernel_basis(QQ, tmat.row_list(), tmat.cols)
     assert kernel  # ker(f-bar) is nonzero, so the noise below moves the preimage
     from ringlab.linalg import solve
     from ringlab.scalars import _tensor_action_vector
@@ -300,8 +299,8 @@ ALT_SUM_WIDE = qmap(
 def test_p_of_f_is_the_stabilizer_of_the_relation_kernel_in_z(make):
     f = make()
     tmat = tensor_matrix(f)
-    kern = kernel_basis(tmat)
-    stabilizer = _stabilizer_inside(f, z_center(f), [kern.col(j) for j in range(kern.cols)])
+    kern = kernel_basis(tmat.domain, tmat.row_list(), tmat.cols)
+    stabilizer = _stabilizer_inside(f, z_center(f), kern)
     rep = p_of_f(f)
     assert rep.bilinear_certified
     assert rep.algebra.rank > 0
@@ -426,8 +425,7 @@ def dense_centroid_of(f, eta=None):
             rows += axpy(a_eta, minus_one, moved(eta_t, p))
     if not rows:
         rows = [[zero] * (n * n)]
-    kern = kernel_basis(Matrix.from_rows(d, rows))
-    algebra = EndoAlgebra.from_vectors(d, n, [kern.col(c) for c in range(kern.cols)])
+    algebra = EndoAlgebra.from_vectors(d, n, kernel_basis(d, rows, n * n))
     image = Subspace.span(d, image_submodule(f), f.n.dim)
     b_inv = inverse(tmat.submatrix(image.pivots, pairs))
     at_lead = [Matrix.from_rows(d, moved([tmat.row(t) for t in image.pivots], p)) for p in pairs]

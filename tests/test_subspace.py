@@ -53,10 +53,9 @@ def old_intersection(d, rows_a, rows_b, width):
     if not rows_a or not rows_b:
         return []
     cols = [tuple(r) for r in rows_a] + [tuple(d.neg(c) for c in r) for r in rows_b]
-    kern = kernel_basis(Matrix.from_cols(d, cols))
     vectors = []
-    for j in range(kern.cols):
-        coeffs = kern.col(j)[: len(rows_a)]
+    for vec in kernel_basis(d, list(zip(*cols)), len(cols)):
+        coeffs = vec[: len(rows_a)]
         vectors.append(_combine(d, coeffs, rows_a, width))
     return old_span_rows(d, vectors)
 
