@@ -29,7 +29,7 @@ import operator
 from functools import cached_property
 from math import lcm
 
-from . import gfenum
+from . import gfenum, modules
 from .domains import Domain, PrimeField, QQ, Rationals, ZZ
 from .errors import (
     DimensionMismatch,
@@ -39,20 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix, echelon, inverse, kernel_basis, unit_vectors
-from .modules import (
-    CYCLIC,
-    RATIONAL,
-    Lattice,
-    ModuleDesc,
-    cyclic,
-    divisible_bounded_split,
-    free_line,
-    project_coords,
-    rational_line,
-    reassemble_coords,
-    split_complement,
-    submodule_adapted_basis,
-)
 from .records import record
 
 FIELD = "field"
@@ -66,7 +52,7 @@ class Carrier:
 
     domain: Domain | None
     dim: int
-    desc: ModuleDesc | None
+    desc: modules.ModuleDesc | None
 
     @property
     def kind(self) -> str:
@@ -112,7 +98,7 @@ class Carrier:
         if self.kind == FIELD:
             return Subspace.span(self.domain, vectors, self.dim)
         if self.kind == INTEGER:
-            return Lattice.span(self.desc, vectors)
+            return modules.Lattice.span(self.desc, vectors)
         return BlockSpan.span(self.desc, vectors)
 
     def describe(self) -> str:
@@ -127,7 +113,7 @@ def field_carrier(domain: Domain, dim: int) -> Carrier:
     return Carrier(domain, dim, None)
 
 
-def module_carrier(desc: ModuleDesc) -> Carrier:
+def module_carrier(desc: modules.ModuleDesc) -> Carrier:
     """Carrier for a formal sum; pure-rational sums become Q-vector spaces."""
     if desc.is_divisible():
         return field_carrier(QQ, desc.dim)
@@ -188,16 +174,16 @@ class BilinearMap:
             si = m_desc.summands[i]
             for j in range(self.m.dim):
                 for entry, label in ((self.tensor[i][j], "row"), (self.tensor[j][i], "col")):
-                    if si.kind == CYCLIC:
+                    if si.kind == modules.CYCLIC:
                         killed = n_desc.scale_int(si.modulus, entry)
                         if not n_desc.is_zero_elem(killed):
                             raise ValidationError(
                                 f"entry f involving torsion basis vector {i} "
                                 f"(order {si.modulus}) is not killed by the order"
                             )
-                    if si.kind == RATIONAL:
+                    if si.kind == modules.RATIONAL:
                         for t, st in enumerate(n_desc.summands):
-                            if st.kind != RATIONAL and entry[t] != 0:
+                            if st.kind != modules.RATIONAL and entry[t] != 0:
                                 raise ValidationError(
                                     f"entry f involving divisible basis vector {i} "
                                     "has non-divisible support"
@@ -282,12 +268,13 @@ class BilinearMap:
         return f"{self.m.describe()} x {self.m.describe()} -> {self.n.describe()}"
 
 
-def _field_desc(carrier: Carrier) -> ModuleDesc | None:
+def _field_desc(carrier: Carrier) -> modules.ModuleDesc | None:
     """Formal-sum shape of a field carrier when one exists."""
     if isinstance(carrier.domain, Rationals):
-        return ModuleDesc(tuple(rational_line() for _ in range(carrier.dim)))
+        return modules.ModuleDesc(tuple(modules.rational_line() for _ in range(carrier.dim)))
     if isinstance(carrier.domain, PrimeField):
-        return ModuleDesc(tuple(cyclic(carrier.domain.p) for _ in range(carrier.dim)))
+        p = carrier.domain.p
+        return modules.ModuleDesc(tuple(modules.cyclic(p) for _ in range(carrier.dim)))
     return None
 
 
@@ -386,18 +373,18 @@ class BlockSpan:
     Ann(R), R^2 and Delta(R) on a mixed carrier are such sums, since a
     divisible and a bounded basis vector multiply to 0."""
 
-    ambient: ModuleDesc
+    ambient: modules.ModuleDesc
     divisible: Subspace
-    bounded: Lattice
+    bounded: modules.Lattice
 
     @staticmethod
-    def span(ambient: ModuleDesc, vectors) -> "BlockSpan":
-        _, m_b, (d_idx, b_idx) = divisible_bounded_split(ambient)
+    def span(ambient: modules.ModuleDesc, vectors) -> "BlockSpan":
+        _, m_b, (d_idx, b_idx) = modules.divisible_bounded_split(ambient)
         vectors = list(vectors)
         return BlockSpan(
             ambient,
-            Subspace.span(QQ, [project_coords(v, d_idx) for v in vectors], len(d_idx)),
-            Lattice.span(m_b, [project_coords(v, b_idx) for v in vectors]),
+            Subspace.span(QQ, [modules.project_coords(v, d_idx) for v in vectors], len(d_idx)),
+            modules.Lattice.span(m_b, [modules.project_coords(v, b_idx) for v in vectors]),
         )
 
     def _parts(self):
@@ -407,10 +394,12 @@ class BlockSpan:
     @cached_property
     def rows(self) -> tuple:
         m = self.ambient
-        return tuple(reassemble_coords(m, [(idx, r)]) for idx, p in self._parts() for r in p.rows)
+        return tuple(
+            modules.reassemble_coords(m, [(idx, r)]) for idx, p in self._parts() for r in p.rows
+        )
 
     def contains(self, x) -> bool:
-        return all(p.contains(project_coords(x, idx)) for idx, p in self._parts())
+        return all(p.contains(modules.project_coords(x, idx)) for idx, p in self._parts())
 
     def intersect(self, other: "BlockSpan") -> "BlockSpan":
         d, b = self.divisible.intersect(other.divisible), self.bounded.intersect(other.bounded)
@@ -499,9 +488,11 @@ def _integer_kernel(f: BilinearMap):
     scales = [lcm(*(c.denominator for c in row)) for row in rows]
     entries = tuple(int(c * s) for row, s in zip(rows, scales) for c in row)
     stacked = Matrix(ZZ, len(rows), m, entries)
-    lines = tuple(free_line() if s.kind == RATIONAL else s for s in _desc_of(f.n).summands)
-    zero = Lattice.span(ModuleDesc(lines * (2 * m)), ())
-    return list(Lattice.span(f.m.desc, zero.preimage(stacked)).rows)
+    lines = tuple(
+        modules.free_line() if s.kind == modules.RATIONAL else s for s in _desc_of(f.n).summands
+    )
+    zero = modules.Lattice.span(modules.ModuleDesc(lines * (2 * m)), ())
+    return list(modules.Lattice.span(f.m.desc, zero.preimage(stacked)).rows)
 
 
 def two_sided_kernel(f: BilinearMap):
@@ -512,7 +503,7 @@ def two_sided_kernel(f: BilinearMap):
         return _integer_kernel(f)
     f_d, f_c, (d_idx, b_idx) = torsion_split(f)
     return [
-        reassemble_coords(f.m.desc, [(idx[0], gen)])
+        modules.reassemble_coords(f.m.desc, [(idx[0], gen)])
         for idx, part in ((d_idx, f_d), (b_idx, f_c))
         for gen in two_sided_kernel(part)
     ]
@@ -523,7 +514,7 @@ def image_submodule(f: BilinearMap):
     is blockwise only when M splits too, so an M with a free line is
     refused first."""
     if f.n.kind == MIXED:
-        divisible_bounded_split(_desc_of(f.m))
+        modules.divisible_bounded_split(_desc_of(f.m))
     return list(f.n.span([entry for _, entry in f.entries()]).rows)
 
 
@@ -542,7 +533,7 @@ def is_identically_degenerate(f: BilinearMap) -> bool:
 # -- torsion split -------------------------------------------------------------
 
 
-def _desc_of(carrier: Carrier) -> ModuleDesc:
+def _desc_of(carrier: Carrier) -> modules.ModuleDesc:
     desc = carrier.desc or _field_desc(carrier)
     if desc is None:
         raise UnsupportedDomain(
@@ -559,8 +550,8 @@ def torsion_split(f: BilinearMap):
     """
     m_desc = _desc_of(f.m)
     n_desc = _desc_of(f.n)
-    m_d, m_b, (m_didx, m_bidx) = divisible_bounded_split(m_desc)
-    n_d, n_b, (n_didx, n_bidx) = divisible_bounded_split(n_desc)
+    m_d, m_b, (m_didx, m_bidx) = modules.divisible_bounded_split(m_desc)
+    n_d, n_b, (n_didx, n_bidx) = modules.divisible_bounded_split(n_desc)
     tensor_d = tuple(
         tuple(
             tuple(f.tensor[i][j][t] for t in n_didx)
@@ -638,16 +629,16 @@ def foundation_addition_split(f: BilinearMap) -> BilinearSplit:
         raise UnsupportedDomain(
             "foundation/addition over mixed carriers: split the torsion first"
         )
-    m_found_gens = split_complement(kernel_gens, f.m.desc)
+    m_found_gens = modules.split_complement(kernel_gens, f.m.desc)
     if m_found_gens is None:
         raise NoSplit("C(f) does not split off inside M", which="kernel")
-    n_comp_gens = split_complement(image_gens, f.n.desc)
+    n_comp_gens = modules.split_complement(image_gens, f.n.desc)
     if n_comp_gens is None:
         raise NoSplit("im(f) does not split off inside N", which="image")
-    m_found = submodule_adapted_basis(f.m.desc, m_found_gens)
-    image = submodule_adapted_basis(f.n.desc, image_gens)
-    kernel = submodule_adapted_basis(f.m.desc, kernel_gens)
-    n_comp = submodule_adapted_basis(f.n.desc, n_comp_gens)
+    m_found = modules.submodule_adapted_basis(f.m.desc, m_found_gens)
+    image = modules.submodule_adapted_basis(f.n.desc, image_gens)
+    kernel = modules.submodule_adapted_basis(f.m.desc, kernel_gens)
+    n_comp = modules.submodule_adapted_basis(f.n.desc, n_comp_gens)
     tensor = []
     for a in m_found.basis:
         row = []

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import lie, selftest
 from .documents import InputDocument, load_document
 from .domains import QQ, Extension, PrimeField, Rationals
 from .errors import (
@@ -29,15 +30,7 @@ from .errors import (
     RinglabError,
     ValidationError,
 )
-from .lie import (
-    GroupElement,
-    group_commutator,
-    group_mul,
-    group_pow,
-    verify_nilpotent_lie,
-)
 from .reports import AnalyzeOptions, analyze, render_json, render_text
-from .selftest import run_selftest
 
 
 def _read_document(path: str, extension: str | None) -> InputDocument:
@@ -92,7 +85,7 @@ def _pre_extend(doc: InputDocument, minpoly_text: str) -> InputDocument:
     )
 
 
-def _parse_group_element(text: str, algebra) -> GroupElement:
+def _parse_group_element(text: str, algebra) -> lie.GroupElement:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
@@ -102,7 +95,7 @@ def _parse_group_element(text: str, algebra) -> GroupElement:
             f"element needs {algebra.dim} coordinates, got {len(parts)}"
         )
     coords = tuple(algebra.domain.parse(p) for p in parts)
-    return GroupElement(algebra, coords)
+    return lie.GroupElement(algebra, coords)
 
 
 def _check_ranges(args) -> None:
@@ -150,7 +143,7 @@ def _cmd_malcev(args) -> int:
     doc = _read_document(args.file, args.extension)
     if doc.kind != "lie":
         raise ValidationError("malcev commands need a 'lie' document")
-    algebra = verify_nilpotent_lie(doc.ring())
+    algebra = lie.verify_nilpotent_lie(doc.ring())
     if algebra.nilpotency_class > args.max_class:
         from .errors import ClassTooLarge
 
@@ -161,15 +154,15 @@ def _cmd_malcev(args) -> int:
     if args.subcommand == "mul":
         g = _parse_group_element(args.args[0], algebra)
         h = _parse_group_element(args.args[1], algebra)
-        result = {"operation": "mul", "result": fmt_coords(group_mul(g, h, args.max_class))}
+        result = {"operation": "mul", "result": fmt_coords(lie.group_mul(g, h, args.max_class))}
     elif args.subcommand == "pow":
         g = _parse_group_element(args.args[0], algebra)
         exponent = QQ.parse(args.args[1])
-        result = {"operation": "pow", "result": fmt_coords(group_pow(g, exponent))}
+        result = {"operation": "pow", "result": fmt_coords(lie.group_pow(g, exponent))}
     elif args.subcommand == "comm":
         g = _parse_group_element(args.args[0], algebra)
         h = _parse_group_element(args.args[1], algebra)
-        rep = group_commutator(g, h, args.max_class)
+        rep = lie.group_commutator(g, h, args.max_class)
         result = {
             "operation": "comm",
             "result": fmt_coords(rep.commutator),
@@ -179,9 +172,7 @@ def _cmd_malcev(args) -> int:
         if rep.class2_exact is not None:
             result["class2_exact"] = rep.class2_exact
     else:  # decompose
-        from .lie import group_decompose
-
-        deco = group_decompose(algebra, args.seed, args.max_class)
+        deco = lie.group_decompose(algebra, args.seed, args.max_class)
         result = {
             "operation": "decompose",
             "factors": [
@@ -200,7 +191,7 @@ def _cmd_malcev(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    report = run_selftest(args.level)
+    report = selftest.run_selftest(args.level)
     if args.format == "json":
         _emit(report, "json")
     else:

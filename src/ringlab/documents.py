@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import re
 
-from .artinian import CommutativeAlgebra
+from . import artinian, modules
 from .bilinear import BilinearMap, Carrier, field_carrier, module_carrier
 from .domains import Domain, Extension, PrimeField, QQ, Rationals, Residues, ZZ
 from .errors import ParseError, ValidationError
-from .modules import ModuleDesc, cyclic, free_line, rational_line
 from .records import field, record
 from .rings import RingPresentation
 
@@ -275,17 +274,17 @@ class InputDocument:
     def ring(self) -> RingPresentation:
         return self._once("ring", lambda: RingPresentation(self.carrier, self.tensor))
 
-    def commutative_algebra(self) -> CommutativeAlgebra:
+    def commutative_algebra(self) -> artinian.CommutativeAlgebra:
         return self._once("commutative-algebra", self._commutative_algebra)
 
-    def _commutative_algebra(self) -> CommutativeAlgebra:
+    def _commutative_algebra(self) -> artinian.CommutativeAlgebra:
         if self.carrier.kind != "field":
             raise ValidationError("commutative-algebra documents need a field domain")
         if self.unit is not None:
-            return CommutativeAlgebra(
+            return artinian.CommutativeAlgebra(
                 self.carrier.domain, self.carrier.dim, self.tensor, self.unit
             )
-        return CommutativeAlgebra.from_tensor(self.carrier.domain, self.tensor)
+        return artinian.CommutativeAlgebra.from_tensor(self.carrier.domain, self.tensor)
 
 
 def _parse_domain(v, path: str) -> Domain:
@@ -341,27 +340,27 @@ def _size(obj: dict, path: str, letter: str):
     return tuple(str(b) for b in basis), summands
 
 
-def _parse_summands(summands, domain: Domain, dim: int, path: str) -> ModuleDesc:
+def _parse_summands(summands, domain: Domain, dim: int, path: str) -> modules.ModuleDesc:
     if summands is None:
         if domain == ZZ:
-            return ModuleDesc(tuple(free_line() for _ in range(dim)))
+            return modules.ModuleDesc(tuple(modules.free_line() for _ in range(dim)))
         if isinstance(domain, Residues):
-            return ModuleDesc(tuple(cyclic(domain.m) for _ in range(dim)))
+            return modules.ModuleDesc(tuple(modules.cyclic(domain.m) for _ in range(dim)))
         raise AssertionError("summands default only for Z / Z:m domains")
     out = []
     for i, v in enumerate(summands):
         if v == "Q":
-            out.append(rational_line())
+            out.append(modules.rational_line())
         elif v == "Z":
-            out.append(free_line())
+            out.append(modules.free_line())
         elif isinstance(v, dict) and "torsion" in v:
             m = v["torsion"]
             if not isinstance(m, int) or m < 2:
                 _fail("torsion modulus must be an integer >= 2", f"{path}[{i}]")
-            out.append(cyclic(m))
+            out.append(modules.cyclic(m))
         else:
             _fail(f"unknown summand {v!r}", f"{path}[{i}]")
-    return ModuleDesc(tuple(out))
+    return modules.ModuleDesc(tuple(out))
 
 
 def _carrier_for(domain: Domain, summands, dim: int, path: str) -> Carrier:

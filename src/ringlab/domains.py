@@ -154,8 +154,12 @@ class Rationals(Domain):
         if isinstance(obj, int):
             return obj
         if isinstance(obj, str):
+            text = obj.strip()
+            digits = text.removeprefix("-")
             try:
-                c = Fraction(obj.strip())
+                if digits.isascii() and digits.isdigit():
+                    return int(text)  # the common case, without Fraction's regex
+                c = Fraction(text)
             except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"not a rational literal: {obj!r}") from None
             return c.numerator if c.denominator == 1 else c

@@ -4,10 +4,11 @@ Over GF(p): squarefree decomposition, distinct-degree and equal-degree
 splitting (the equal-degree stage walks a deterministic candidate stream,
 so output order is reproducible).
 
-Over Q: Yun's squarefree decomposition, then Zassenhaus' method for each
-squarefree part: factor it modulo the smallest suitable prime p, Hensel-lift
-the factors modulo p^k past a Landau-Mignotte bound, and recombine them into
-integer factors that exact division confirms.  It settles every degree.
+Over Q: Yun's squarefree decomposition of the primitive integer multiple,
+then Zassenhaus' method for each squarefree part: factor it modulo the
+smallest suitable prime p, Hensel-lift the factors modulo p^k past a
+Landau-Mignotte bound, and recombine them into integer factors that exact
+division confirms.  It settles every degree.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from .domains import (
     QQ,
     Rationals,
     Residues,
+    ZZ,
     _is_prime,
     poly_add,
     poly_divmod,
     poly_gcd,
     poly_mod,
     poly_mul,
+    poly_neg,
     poly_trim,
     poly_xgcd,
 )
@@ -152,21 +155,72 @@ def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
 # -- squarefree decompositions ----------------------------------------------
 
 
-def _squarefree_q(f: Poly):
-    """Yun's algorithm; [(g, multiplicity)] with f monic = prod g^m."""
+# Over Q the decomposition runs on integer coefficient lists (constant term
+# first): a primitive divisor of an integer polynomial divides it over Z
+# (Gauss), so every quotient below is exact and no Fraction is made.
+
+
+def _primitive_z(h):
+    """h divided by its content, with a positive leading coefficient."""
+    if not h:
+        return h
+    content = int_gcd(*h)
+    return [c // content for c in h] if h[-1] > 0 else [-c // content for c in h]
+
+
+def _integer_form(f: Poly):
+    """The primitive integer multiple of a nonzero rational polynomial, with a
+    positive leading coefficient."""
+    denominator = lcm(*(c.denominator for c in f.coeffs))
+    return _primitive_z([int(c * denominator) for c in f.coeffs])
+
+
+def _gcd_z(a, b):
+    """The primitive gcd of two integer polynomials, by primitive pseudo-remainders."""
+    a, b = _primitive_z(a), _primitive_z(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [lead * x for x in r]
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive_z(r)
+    return a
+
+
+def _quotient_z(g, h):
+    quo = _exact_quotient_z(g, h)
+    if quo is None:
+        raise InvariantViolation("exact division check: the remainder is nonzero")
+    return quo
+
+
+def _derivative_z(g):
+    return [i * c for i, c in enumerate(g) if i]
+
+
+def _squarefree_z(g):
+    """Yun's algorithm over Z: [(h, multiplicity)] with g = prod h^m for g
+    primitive with a positive leading coefficient; each h is primitive with a
+    positive leading coefficient."""
     out = []
-    a = gcd(f, f.derivative())
-    b = f.exact_div(a)
-    c = f.derivative().exact_div(a)
-    d = c.sub(b.derivative())
+    dg = _derivative_z(g)
+    a = _gcd_z(g, dg)
+    b, c = _quotient_z(g, a), _quotient_z(dg, a)
+    d = poly_add(ZZ, c, poly_neg(ZZ, _derivative_z(b)))
     i = 1
-    while b.degree > 0:
-        ai = gcd(b, d)
-        b = b.exact_div(ai)
-        c = d.exact_div(ai)
-        d = c.sub(b.derivative())
-        if ai.degree > 0:
-            out.append((ai.monic(), i))
+    while len(b) > 1:
+        ai = _gcd_z(b, d)
+        b, c = _quotient_z(b, ai), _quotient_z(d, ai)
+        d = poly_add(ZZ, c, poly_neg(ZZ, _derivative_z(b)))
+        if len(ai) > 1:
+            out.append((ai, i))
         i += 1
     return out
 
@@ -365,19 +419,11 @@ def _zassenhaus(g):
     return factors + [g]
 
 
-def _factor_squarefree_q(f: Poly):
-    """Factor a monic squarefree rational polynomial into monic irreducibles."""
-    denominator = lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * denominator) for c in f.coeffs]
-    content = int_gcd(*ints)
-    return [Poly.from_ints(QQ, h).monic() for h in _zassenhaus([c // content for c in ints])]
-
-
 def _factor_q(f: Poly):
     out = []
-    for squarefree, mult in _squarefree_q(f.monic()):
-        for irreducible in _factor_squarefree_q(squarefree):
-            out.append((irreducible, mult))
+    for squarefree, mult in _squarefree_z(_integer_form(f)):
+        for irreducible in _zassenhaus(squarefree):
+            out.append((Poly.from_ints(QQ, irreducible).monic(), mult))
     return out
 
 

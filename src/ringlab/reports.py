@@ -8,11 +8,10 @@ name; a missing Z-module complement is analysis content, not a failure.
 
 from __future__ import annotations
 
-from . import artinian, bilinear, lie as lie_mod, rings, scalars
+from . import artinian, bilinear, lie as lie_mod, modules, rings, scalars
 from .documents import InputDocument
 from .domains import Extension, PrimeField
 from .errors import NoSplit, PipelineError, RinglabError, UnsupportedDomain
-from .modules import divisible_bounded_split, torsion_part
 from .records import record
 
 
@@ -105,10 +104,10 @@ def analyze_module(doc: InputDocument, opts: AnalyzeOptions) -> dict:
             "divisible_bounded_split",
             UnsupportedDomain("no formal-sum shape for this carrier"),
         )
-    m_d, m_b, _ = _stage("divisible_bounded_split", divisible_bounded_split, desc)
+    m_d, m_b, _ = _stage("divisible_bounded_split", modules.divisible_bounded_split, desc)
     report["divisible_part"] = m_d.describe()
     report["bounded_part"] = m_b.describe()
-    report["torsion_part"] = torsion_part(desc).describe()
+    report["torsion_part"] = modules.torsion_part(desc).describe()
     report["is_divisible"] = desc.is_divisible()
     report["is_bounded"] = desc.is_bounded()
     if desc.is_bounded() and desc.dim:

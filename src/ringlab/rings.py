@@ -22,14 +22,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from . import gfenum
-from .artinian import (
-    JSeriesReport,
-    LocalFactor,
-    field_of_representatives,
-    j_series,
-    local_decomposition,
-)
+from . import artinian, gfenum, modules, scalars
 from .bilinear import (
     BilinearMap,
     Carrier,
@@ -57,15 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix, unit_vectors
-from .modules import split_complement, submodule_adapted_basis
 from .records import record
-from .scalars import (
-    EndoAlgebra,
-    ScalarActionReport,
-    centroid_of,
-    endo_commutative_algebra,
-    largest_scalar_action,
-)
 
 
 @record
@@ -425,22 +410,22 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
             "foundation/addition over mixed carriers: split the torsion first"
         )
     # additions: complement of Delta inside Ann, computed in Ann's own shape
-    ann_sub = submodule_adapted_basis(r.carrier.desc, ann)
+    ann_sub = modules.submodule_adapted_basis(r.carrier.desc, ann)
     delta_in_ann = [ann_sub.coords_of(g) for g in delta]
-    r0_in_ann = split_complement(delta_in_ann, ann_sub.desc)
+    r0_in_ann = modules.split_complement(delta_in_ann, ann_sub.desc)
     if r0_in_ann is None:
         raise NoSplit(
             "Delta(R) = R^2 n Ann(R) does not split off inside Ann(R): "
             "no addition exists", which="addition",
         )
     r0_rows = rows_through(r0_in_ann, ann_sub.basis, r.carrier)
-    found_gens = split_complement(r0_rows, r.carrier.desc, kill=sq)
+    found_gens = modules.split_complement(r0_rows, r.carrier.desc, kill=sq)
     if found_gens is None:
         raise NoSplit(
             "the addition does not split off inside R: no foundation complement",
             which="foundation",
         )
-    found_sub = submodule_adapted_basis(r.carrier.desc, found_gens)
+    found_sub = modules.submodule_adapted_basis(r.carrier.desc, found_gens)
     f = r.as_bilinear()
     tensor = []
     for x in found_sub.basis:
@@ -449,7 +434,7 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
             row.append(found_sub.coords_of(f.evaluate(x, y)))
         tensor.append(tuple(row))
     foundation = RingPresentation(module_carrier(found_sub.desc), tuple(tensor))
-    r0_sub = submodule_adapted_basis(r.carrier.desc, r0_rows)
+    r0_sub = modules.submodule_adapted_basis(r.carrier.desc, r0_rows)
     addition = RingPresentation(
         module_carrier(r0_sub.desc),
         tuple(
@@ -466,7 +451,7 @@ def foundation_addition(r: RingPresentation) -> FoundationSplit:
 # -- centroid and component enrichment ------------------------------------------------
 
 
-def centroid(r: RingPresentation) -> EndoAlgebra:
+def centroid(r: RingPresentation) -> scalars.EndoAlgebra:
     """{X in End(R) : X(xy) = (Xx)y = x(Xy)}; the scalars of R itself.
 
     With f the multiplication and eta the identity, these are the A of
@@ -475,7 +460,7 @@ def centroid(r: RingPresentation) -> EndoAlgebra:
     if r.carrier.kind != FIELD:
         raise UnsupportedDomain("centroid is computed over field carriers")
     identity = Matrix.identity(r.carrier.domain, r.dim)
-    return centroid_of(r.as_bilinear(), identity).algebra
+    return scalars.centroid_of(r.as_bilinear(), identity).algebra
 
 
 @record
@@ -496,12 +481,12 @@ def component_enrichment(ring: RingPresentation, seed: int = 0) -> Enrichment:
         raise ValidationError(
             "component centroid is not commutative; no scalar enrichment"
         )
-    alg = endo_commutative_algebra(cent)
-    factors = local_decomposition(alg, seed)
+    alg = scalars.endo_commutative_algebra(cent)
+    factors = artinian.local_decomposition(alg, seed)
     if len(factors) != 1:
         raise ValidationError("component centroid is not local: ring decomposes")
     lf = factors[0]
-    rep = field_of_representatives(lf)
+    rep = artinian.field_of_representatives(lf)
     # block coords -> centroid coords -> endomorphism
     cent_rows = rows_through(rep.basis, lf.basis, field_carrier(cent.domain, alg.dim))
     mats = [cent.combine(row) for row in cent_rows]
@@ -531,8 +516,8 @@ def verify_enrichment(ring: RingPresentation, enrichment: Enrichment) -> bool:
 class RingComponent:
     ring: RingPresentation
     rows: tuple                    # basis rows in the input's coordinates
-    local: LocalFactor             # local factor of A(R)
-    j_report: JSeriesReport
+    local: artinian.LocalFactor    # local factor of A(R)
+    j_report: artinian.JSeriesReport
     enrichment: Enrichment
     residue_degree: int
     dim_over_residue: int
@@ -547,7 +532,7 @@ class RingDecomposition:
     ann_rows: tuple
     square_rows: tuple
     delta_rows: tuple
-    scalar: ScalarActionReport | None
+    scalar: scalars.ScalarActionReport | None
 
     @property
     def change_rows(self):
@@ -596,9 +581,9 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
     rf = split.foundation
     ann_f = annihilator(rf)
     sq_f = square_ideal(rf)
-    scalar = largest_scalar_action(rf.as_bilinear(), ann_f, sq_f)
-    alg = endo_commutative_algebra(scalar.algebra)
-    factors = local_decomposition(alg, seed)
+    scalar = scalars.largest_scalar_action(rf.as_bilinear(), ann_f, sq_f)
+    alg = scalars.endo_commutative_algebra(scalar.algebra)
+    factors = artinian.local_decomposition(alg, seed)
     components = []
     total = 0
     for lf in factors:
@@ -628,7 +613,7 @@ def decompose_char0(r: RingPresentation, seed: int = 0) -> RingDecomposition:
                 ring=comp_ring,
                 rows=tuple(rows_ambient),
                 local=lf,
-                j_report=j_series(lf),
+                j_report=artinian.j_series(lf),
                 enrichment=enrichment,
                 residue_degree=lf.residue_degree,
                 dim_over_residue=comp_ring.dim // lf.residue_degree,
@@ -695,14 +680,14 @@ def central_split_mixed(r: RingPresentation) -> MixedSplit:
 class QuasiComponent:
     ring: RingPresentation
     rows: tuple
-    local: LocalFactor
+    local: artinian.LocalFactor
     residue_degree: int
 
 
 @record
 class CentralProductReport:
     components: tuple
-    scalar: ScalarActionReport
+    scalar: scalars.ScalarActionReport
     ann_rows: tuple
 
 
@@ -716,9 +701,9 @@ def decompose_bounded(r: RingPresentation, seed: int = 0) -> CentralProductRepor
     if not sq:
         raise DegenerateInput("zero multiplication: nothing to decompose")
     ann = annihilator(r)
-    scalar = largest_scalar_action(r.as_bilinear(), ann, sq)
-    alg = endo_commutative_algebra(scalar.algebra)
-    factors = local_decomposition(alg, seed)
+    scalar = scalars.largest_scalar_action(r.as_bilinear(), ann, sq)
+    alg = scalars.endo_commutative_algebra(scalar.algebra)
+    factors = artinian.local_decomposition(alg, seed)
     components = []
     for lf in factors:
         e_q = scalar.algebra.combine(lf.idempotent)
@@ -777,8 +762,8 @@ def model_construct(
     cent = centroid(r)
     if not cent.is_commutative():
         raise ValidationError("centroid is not commutative")
-    alg = endo_commutative_algebra(cent)
-    factors = local_decomposition(alg, seed)
+    alg = scalars.endo_commutative_algebra(cent)
+    factors = artinian.local_decomposition(alg, seed)
     if len(factors) != 1:
         raise ValidationError("ring is decomposable; model construction needs an "
                               "indecomposable component")

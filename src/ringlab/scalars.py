@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from . import gfenum
-from .artinian import CommutativeAlgebra, LocalFactor, local_decomposition
+from . import artinian, gfenum
 from .bilinear import (
     BilinearMap,
     FIELD,
@@ -390,7 +389,7 @@ def z_n_chain(f: BilinearMap, max_n: int):
 # -- scalar-driven decomposition ---------------------------------------------------
 
 
-def endo_commutative_algebra(endo: EndoAlgebra) -> CommutativeAlgebra:
+def endo_commutative_algebra(endo: EndoAlgebra) -> artinian.CommutativeAlgebra:
     """A closed unital commutative EndoAlgebra as an abstract algebra."""
     d = endo.domain
     tensor = []
@@ -405,7 +404,7 @@ def endo_commutative_algebra(endo: EndoAlgebra) -> CommutativeAlgebra:
     unit = endo.coords_of(Matrix.identity(d, endo.dim))
     if unit is None:
         raise InvariantViolation("endomorphism algebra has no identity")
-    return CommutativeAlgebra(d, endo.rank, tuple(tensor), unit)
+    return artinian.CommutativeAlgebra(d, endo.rank, tuple(tensor), unit)
 
 
 @record
@@ -413,14 +412,14 @@ class BilinearComponent:
     map: BilinearMap
     m_rows: tuple
     n_rows: tuple
-    local: LocalFactor
+    local: artinian.LocalFactor
 
 
 @record
 class BilinearDecomposition:
     components: tuple
     scalar_report: ScalarRingReport
-    scalar_algebra: CommutativeAlgebra
+    scalar_algebra: artinian.CommutativeAlgebra
 
     @property
     def blocks(self):
@@ -435,7 +434,7 @@ def decompose_via_scalars(f: BilinearMap, seed: int = 0) -> BilinearDecompositio
     report = p_of_f(f)
     d = f.m.domain
     algebra = endo_commutative_algebra(report.algebra)
-    factors = local_decomposition(algebra, seed)
+    factors = artinian.local_decomposition(algebra, seed)
     components = []
     for lf in factors:
         e_m = report.algebra.combine(lf.idempotent)

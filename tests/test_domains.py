@@ -15,6 +15,32 @@ def test_rational_parse_exact():
         QQ.parse(0.5)
 
 
+def _parse_by_fraction(text):
+    """`Rationals.parse` on a string before ASCII integers skipped Fraction."""
+    try:
+        c = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"not a rational literal: {text!r}") from None
+    return c.numerator if c.denominator == 1 else c
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["٣", "1_0", "1e3", " 3 ", "+3", "-0", "--3", "", "-", "0003", " -12/8 ", "-12", "7/0",
+     "3.", "²", " \t42\n"],
+)
+def test_rational_parse_of_strings_matches_the_fraction_reader(text):
+    try:
+        expected = _parse_by_fraction(text)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as caught:
+            QQ.parse(text)
+        assert str(caught.value) == str(exc)
+    else:
+        got = QQ.parse(text)
+        assert got == expected and type(got) is type(expected)
+
+
 def test_prime_field_arithmetic():
     gf5 = PrimeField(5)
     assert gf5.add(3, 4) == 2

@@ -375,6 +375,75 @@ def test_cli_analyze_and_malcev_leave_dataclasses_and_inspect_unloaded():
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
 
 
+def _executed_after(*argv):
+    """The ringlab submodules that `ringlab.cli.main(argv)` has executed in a
+    fresh interpreter.  A submodule registered lazily counts as unexecuted
+    while its type is not `types.ModuleType`."""
+    import subprocess
+    import sys
+
+    script = (
+        "import contextlib, io, sys, types\n"
+        "import ringlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert ringlab.cli.main({list(argv)!r}) == 0\n"
+        "print(' '.join(sorted(name[len('ringlab.'):] for name, module in sys.modules.items()\n"
+        "    if name.startswith('ringlab.') and type(module) is types.ModuleType)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return set(proc.stdout.decode().split())
+
+
+def test_import_ringlab_runs_no_submodule():
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, types\n"
+        "import ringlab\n"
+        "ran = [name for name, module in sys.modules.items()\n"
+        "       if name.startswith('ringlab.') and type(module) is types.ModuleType]\n"
+        "assert not ran, ran\n"
+        "assert 'ringlab.cli' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+
+
+def test_malcev_leaves_the_ring_pipelines_unexecuted():
+    from importlib import resources
+
+    path = str(resources.files("ringlab.fixtures").joinpath("h3.json"))
+    executed = _executed_after("malcev", "mul", path, "(1,0,0)", "(0,1,0)")
+    assert not {"artinian", "scalars", "polynomials", "gfenum", "selftest"} & executed
+    assert {"cli", "documents", "lie", "rings"} <= executed
+
+
+def test_analyze_on_a_ring_over_q_leaves_lie_and_selftest_unexecuted():
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "R3-q.json")
+    executed = _executed_after("analyze", path)
+    assert not {"lie", "selftest"} & executed
+    assert {"artinian", "rings", "scalars"} <= executed
+
+
+def test_selftest_quick_passes_in_a_fresh_interpreter():
+    # run as `python -m ringlab.cli`: the CLI module is loaded once, so runpy
+    # has no RuntimeWarning to print
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringlab.cli", "selftest", "quick"],
+        capture_output=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode("utf-8", "replace")
+    assert proc.stdout.decode().endswith("status: pass\n")
+
+
 def filiform(dim):
     """(e1, e_i) = e_{i+1}, i = 2..dim-1: nilpotency class dim - 1."""
     entries = {}

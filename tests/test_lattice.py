@@ -298,9 +298,17 @@ def test_analyze_on_r3_over_z_computes_few_smith_forms(monkeypatch):
         calls.append(m)
         return real(m)
 
-    for mod in list(sys.modules.values()):
-        if mod and mod.__name__.startswith("ringlab") and getattr(mod, "smith_normal_form", None) is real:
-            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    # find every submodule binding before patching one: reading a lazily
+    # registered module runs it, and a module run after the patch would bind
+    # counted; the package itself reads the name from linalg on each access
+    holders = [
+        mod
+        for mod in list(sys.modules.values())
+        if mod and mod.__name__.startswith("ringlab.")
+        and getattr(mod, "smith_normal_form", None) is real
+    ]
+    for mod in holders:
+        monkeypatch.setattr(mod, "smith_normal_form", counted)
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs", "R3-z.json")
     with redirect_stdout(io.StringIO()):
         assert main(["analyze", path, "--format", "json"]) == 0

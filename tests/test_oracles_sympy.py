@@ -1,11 +1,13 @@
 """Differential tests against sympy, an oracle that shares none of ringlab's
 arithmetic: `rref` / `kernel_basis` over Q against `DomainMatrix`,
-`smith_normal_form` against `sympy.matrices.normalforms`, and
-`poly_factor` over Q against `factor_list`.
+`smith_normal_form` against `sympy.matrices.normalforms`, `poly_factor`
+over Q against `factor_list` and its squarefree decomposition against
+`sqf_list`.
 
 sympy is not a dependency of ringlab; without it these tests skip.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -208,3 +210,26 @@ def factor_lists(draw):
 @example([tuple(F(c) for c in (576, 0, -960, 0, 352, 0, -40, 0, 1))])
 def test_poly_factor_over_q_matches_factor_list_on_products(parts):
     _assert_factor_list_agrees(_sympy_poly_mul(*parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_lists())
+@example([(F(-1), F(1)), (F(-1), F(1)), (F(-1), F(1))])
+@example([(F(1), F(0), F(1)), (F(1, 2), F(2)), (F(1), F(0), F(1)), (F(3), F(1, 3))])
+def test_squarefree_decomposition_over_z_matches_sqf_list(parts):
+    """Yun's algorithm on the primitive integer multiple gives sympy's
+    squarefree parts; each part is primitive and their product is g."""
+    from ringlab.polynomials import _integer_form, _squarefree_z
+
+    expr = _sympy_poly_mul(*parts)
+    g = _integer_form(Poly(QQ, _poly_from_sympy(expr)))
+    ours = _squarefree_z(g)
+    product = sympy.Integer(1)
+    for h, m in ours:
+        assert h[-1] > 0 and math.gcd(*h) == 1
+        product *= sympy.Poly(h[::-1], X) ** m
+    assert product == sympy.Poly(g[::-1], X)
+    _, theirs = sympy.Poly(expr, X, domain=SQQ).sqf_list()
+    assert sorted((Poly.from_ints(QQ, h).monic().coeffs, m) for h, m in ours) == sorted(
+        (_poly_from_sympy(f.as_expr()), m) for f, m in theirs
+    )

@@ -326,8 +326,7 @@ def test_component_scalar_ring_is_local():
     r = heisenberg_sum()
     deco = decompose_char0(r)
     from ringlab.artinian import local_decomposition
-    from ringlab.rings import largest_scalar_action
-    from ringlab.scalars import endo_commutative_algebra
+    from ringlab.scalars import endo_commutative_algebra, largest_scalar_action
 
     for comp in deco.components:
         ann = annihilator(comp.ring)
@@ -344,9 +343,9 @@ def _patch_factors(monkeypatch, change):
     """change the local factors of A(R), not those of a component centroid"""
     import sys
 
-    from ringlab import rings
+    from ringlab import artinian
 
-    real = rings.local_decomposition
+    real = artinian.local_decomposition
 
     def patched(alg, seed=0):
         factors = real(alg, seed)
@@ -354,7 +353,7 @@ def _patch_factors(monkeypatch, change):
             return factors
         return change(factors)
 
-    monkeypatch.setattr(rings, "local_decomposition", patched)
+    monkeypatch.setattr(artinian, "local_decomposition", patched)
 
 
 def _patch_residue_degree(monkeypatch, degree):
