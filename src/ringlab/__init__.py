@@ -19,9 +19,9 @@ _EXPORTS = {
         "radical",
     ),
     "bilinear": (
-        "BilinearMap", "BilinearSplit", "Carrier", "Subspace", "WidthReport",
-        "field_carrier", "foundation_addition_split", "image_submodule", "is_full",
-        "is_identically_degenerate", "is_nondegenerate", "module_carrier",
+        "BilinearMap", "BilinearSplit", "Carrier", "RingPresentation", "Subspace",
+        "WidthReport", "field_carrier", "foundation_addition_split", "image_submodule",
+        "is_full", "is_identically_degenerate", "is_nondegenerate", "module_carrier",
         "torsion_split", "two_sided_kernel", "width",
     ),
     "documents": (),
@@ -42,9 +42,9 @@ _EXPORTS = {
     "records": (),
     "reports": (),
     "rings": (
-        "RingPresentation", "annihilator", "categoricity_check", "central_split_mixed",
-        "decompose_bounded", "decompose_char0", "foundation_addition", "is_regular",
-        "model_construct", "square_ideal", "verbal_ideal",
+        "annihilator", "categoricity_check", "central_split_mixed", "decompose_bounded",
+        "decompose_char0", "foundation_addition", "is_regular", "model_construct",
+        "square_ideal", "verbal_ideal",
     ),
     "scalars": (
         "EndoAlgebra", "ScalarRingReport", "decompose_via_scalars",

@@ -10,8 +10,12 @@ a structure tensor tensor[i][j] = f(b_i, b_j) in N-coordinates.
 BilinearMap builds support[i][j], the t with tensor[i][j][t] nonzero, once;
 evaluate, combine, its commutativity and associativity witness walks (the
 one law check behind RingPresentation's flags and CommutativeAlgebra),
-the Lie walk in rings, scalars' bilinearity certificate and lie's ad rows
-read it, not the dense tensor.
+RingPresentation's Lie walk, scalars' bilinearity certificate and lie's
+ad rows read it, not the dense tensor.
+
+A RingPresentation is a map M x M -> M read as a ring.  It certifies each
+of its flags in full the first time it is read, so a sub-ring whose flags
+nobody reads is never walked; the ring pipelines on it are in rings.
 
 Subspace is the one echelon type over a field: every span, membership,
 coordinate, complement, intersection and greedy basis extension in
@@ -266,6 +270,102 @@ class BilinearMap:
 
     def describe(self) -> str:
         return f"{self.m.describe()} x {self.m.describe()} -> {self.n.describe()}"
+
+
+@record
+class RingPresentation:
+    """A ring on a carrier with multiplication tensor[i][j] = b_i * b_j.
+
+    The associative, commutative and lie flags are computed on all basis
+    triples the first time each is read, never trusted from input.
+    """
+
+    carrier: Carrier
+    tensor: tuple
+
+    def __post_init__(self):
+        bil = BilinearMap(self.carrier, self.carrier, self.tensor)
+        object.__setattr__(self, "tensor", bil.tensor)
+        object.__setattr__(self, "_bilinear", bil)
+
+    @cached_property
+    def associative(self) -> bool:
+        return self._bilinear.associativity_witness() is None
+
+    @cached_property
+    def commutative(self) -> bool:
+        return self._bilinear.commutativity_witness() is None
+
+    @cached_property
+    def lie(self) -> bool:
+        return self.lie_witness() is None
+
+    def as_bilinear(self) -> BilinearMap:
+        return self._bilinear
+
+    @cached_property
+    def ann_rows(self) -> tuple:
+        """Canonical generators of Ann(R), computed once per presentation."""
+        return tuple(two_sided_kernel(self._bilinear))
+
+    @cached_property
+    def square_rows(self) -> tuple:
+        """Canonical generators of R^2, computed once per presentation."""
+        return tuple(_ideal_closure(self, image_submodule(self._bilinear)))
+
+    @property
+    def dim(self) -> int:
+        return self.carrier.dim
+
+    def _basis(self):
+        if self.carrier.kind == FIELD:
+            return unit_vectors(self.carrier.domain, self.dim)
+        out = []
+        for i in range(self.dim):
+            coords = list(self.carrier.zero())
+            coords[i] = 1
+            out.append(self.carrier.reduce(coords))
+        return out
+
+    def mult(self, x, y):
+        return self._bilinear.evaluate(x, y)
+
+    def lie_witness(self):
+        """The first basis pair (i, j) with b_i b_i != 0 or b_i b_j != -b_j b_i,
+        else the first basis triple (i, j, k) that breaks Jacobi; None for a
+        Lie ring."""
+        f = self._bilinear
+        c = self.carrier
+        s, t, n = f.support, self.tensor, self.dim
+        for i in range(n):
+            if s[i][i]:
+                return (i, i)
+            for j in range(n):
+                if not c.is_zero(c.add(t[i][j], t[j][i])):
+                    return (i, j)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    # b_i(b_j b_k) + b_j(b_k b_i) + b_k(b_i b_j)
+                    jac = [(t[j][k][u], i, u) for u in s[j][k]]
+                    jac += [(t[k][i][u], j, u) for u in s[k][i]]
+                    jac += [(t[i][j][u], k, u) for u in s[i][j]]
+                    if jac and not c.is_zero(f.combine(jac)):
+                        return (i, j, k)
+        return None
+
+
+def _ideal_closure(r: RingPresentation, gens):
+    """The ideal generated by the canonical generators gens: re-span them
+    with their products by each basis vector on either side until stable."""
+    f = r.as_bilinear()
+    basis = r._basis()
+    while True:
+        extra = [p for g in gens for b in basis for p in (f.evaluate(g, b), f.evaluate(b, g))]
+        new_gens = list(r.carrier.span(list(gens) + extra).rows)
+        if new_gens == gens:
+            return gens
+        gens = new_gens
 
 
 def _field_desc(carrier: Carrier) -> modules.ModuleDesc | None:

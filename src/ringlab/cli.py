@@ -11,7 +11,9 @@
 other).  A negative exponent is read as an option unless it follows `--`,
 with any options before FILE: `ringlab malcev pow FILE G -- -3/2`.
 
-Exit codes: 0 success, 1 validation/parse error, 2 pipeline error.
+Exit codes: 0 success, 1 validation/parse error, 2 pipeline error.  A
+command-line usage error also exits 2, with argparse's message: `malcev pow
+FILE G --format json -- -3/2` leaves `-- -3/2` unrecognized.
 Reports are deterministic: identical input bytes give identical output
 bytes.  Integers of any length are read and printed in full.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import lie, selftest
+from . import lie, reports, selftest
 from .documents import InputDocument, load_document
 from .domains import QQ, Extension, PrimeField, Rationals
 from .errors import (
@@ -30,7 +32,6 @@ from .errors import (
     RinglabError,
     ValidationError,
 )
-from .reports import AnalyzeOptions, analyze, render_json, render_text
 
 
 def _read_document(path: str, extension: str | None) -> InputDocument:
@@ -107,6 +108,38 @@ def _check_ranges(args) -> None:
             raise ValidationError(f"{option} must be >= 0, got {value}")
 
 
+def render_text(tree, indent: int = 0) -> str:
+    lines = []
+
+    def emit(key, value, depth):
+        prefix = "  " * depth
+        if isinstance(value, dict):
+            lines.append(f"{prefix}{key}:")
+            for k, v in value.items():
+                emit(k, v, depth + 1)
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                lines.append(f"{prefix}{key}: (none)")
+            elif all(not isinstance(v, (dict, list, tuple)) for v in value):
+                lines.append(f"{prefix}{key}: [" + ", ".join(str(v) for v in value) + "]")
+            else:
+                lines.append(f"{prefix}{key}:")
+                for i, v in enumerate(value):
+                    emit(f"[{i}]", v, depth + 1)
+        else:
+            lines.append(f"{prefix}{key}: {value}")
+
+    for k, v in tree.items():
+        emit(k, v, indent)
+    return "\n".join(lines) + "\n"
+
+
+def render_json(tree) -> str:
+    import json
+
+    return json.dumps(tree, indent=2) + "\n"
+
+
 def _emit(tree, fmt: str) -> None:
     text = render_json(tree) if fmt == "json" else render_text(tree)
     sys.stdout.write(text)
@@ -114,13 +147,13 @@ def _emit(tree, fmt: str) -> None:
 
 def _cmd_analyze(args) -> int:
     doc = _read_document(args.file, args.extension)
-    opts = AnalyzeOptions(
+    opts = reports.AnalyzeOptions(
         seed=args.seed,
         max_class=args.max_class,
         width_bound=args.width_bound,
         witnesses=args.witnesses,
     )
-    _emit(analyze(doc, opts), args.format)
+    _emit(reports.analyze(doc, opts), args.format)
     return 0
 
 

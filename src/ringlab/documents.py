@@ -3,9 +3,12 @@
 UTF-8 JSON with exact literals only: ASCII integers and strings like "3/4"
 or "2 mod 5"; floating-point literals are rejected at parse time, and so,
 as JSON requires, are leading zeros and raw control characters in strings.
-The parser is a small recursive-descent scanner that returns plain values
-and keeps only offsets; a line and column are computed when an error is
-raised, for a validation error from the path it names.
+The reference parser is a small recursive-descent scanner (parse_json) that
+returns plain values and keeps only offsets; a line and column are computed
+when an error is raised, for a validation error from the path it names.
+load_document reads the text with the stdlib json scanner first and keeps
+its value only where the reference reads the same value; every refusal and
+every error position still comes from the reference scanner.
 
 Schema:
   {
@@ -25,11 +28,10 @@ from __future__ import annotations
 import re
 
 from . import artinian, modules
-from .bilinear import BilinearMap, Carrier, field_carrier, module_carrier
+from .bilinear import BilinearMap, Carrier, RingPresentation, field_carrier, module_carrier
 from .domains import Domain, Extension, PrimeField, QQ, Rationals, Residues, ZZ
 from .errors import ParseError, ValidationError
 from .records import field, record
-from .rings import RingPresentation
 
 KINDS = ("bilinear", "ring", "lie", "commutative-algebra", "module")
 
@@ -41,6 +43,7 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _DIGITS = frozenset("0123456789")
 # characters that a string must escape: U+0000 to U+001F
 _CONTROL = re.compile("[\x00-\x1f]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", '"': '"', "\\": "\\", "/": "/"
 }
@@ -239,6 +242,47 @@ def parse_json(text: str):
     return _Scanner(text).document()
 
 
+# what _stdlib_json returns where it leaves the text to _Scanner
+_DEFER = object()
+
+
+def _refuse(literal):
+    raise ValueError(literal)
+
+
+def _stdlib_json(text: str):
+    """parse_json(text) as the stdlib json scanner reads it, or _DEFER.
+
+    json.loads reads what _Scanner reads and raises on what it refuses,
+    except for floats and NaN/Infinity, which the hooks refuse, and for
+    nesting deeper than MAX_DEPTH and lone surrogates, which the walk
+    below refuses.
+    """
+    import json
+
+    try:
+        value = json.loads(text, parse_float=_refuse, parse_constant=_refuse)
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        return _DEFER
+    # (values, the number of arrays and objects around them)
+    stack = [((value,), 0)]
+    while stack:
+        items, depth = stack.pop()
+        for item in items:
+            kind = type(item)
+            if kind is str:
+                if not item.isascii() and _SURROGATE.search(item):
+                    return _DEFER
+            elif kind is list or kind is dict:
+                if depth == MAX_DEPTH:
+                    return _DEFER
+                if kind is dict:
+                    stack.append((item.keys(), depth))
+                    item = item.values()
+                stack.append((item, depth + 1))
+    return value
+
+
 class _Invalid(Exception):
     """A schema violation: (message, path); load_document adds the position."""
 
@@ -400,12 +444,16 @@ def _parse_element(value, parsers, path: str):
 
 
 def load_document(text: str) -> InputDocument:
-    scanner = _Scanner(text)
-    root = scanner.document()
+    root = _stdlib_json(text)
+    if root is _DEFER:
+        root = parse_json(text)
     try:
         return _read(root)
     except _Invalid as exc:
         message, path = exc.args
+        # only the reference scanner keeps the offsets that place the error
+        scanner = _Scanner(text)
+        root = scanner.document()
         line, col = _position(text, scanner.locate(root, path))
         raise ValidationError(message, path=path, line=line, col=col) from None
 

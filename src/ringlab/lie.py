@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import comb, factorial, lcm
 
-from .bilinear import Subspace
+from . import rings
+from .bilinear import RingPresentation, Subspace
 from .errors import (
     AlgebraMismatch,
     ClassTooLarge,
@@ -28,7 +29,6 @@ from .errors import (
 )
 from .linalg import unit_vectors
 from .records import record
-from .rings import RingDecomposition, RingPresentation, annihilator, decompose_char0
 
 BCH_CLASS_CAP = 6
 
@@ -328,7 +328,7 @@ def central_series_and_center(
     l: NilpotentLieAlgebra, max_class: int | None = None
 ) -> CorrespondenceReport:
     d = l.domain
-    ann = annihilator(l.ring)
+    ann = rings.annihilator(l.ring)
     centre = Subspace.span(d, ann, l.dim)
     basis = unit_vectors(d, l.dim)
     centre_ok = True
@@ -387,7 +387,7 @@ class GroupFactor:
 class GroupDecomposition:
     factors: tuple
     abelian_factor_rows: tuple
-    ring_decomposition: RingDecomposition
+    ring_decomposition: rings.RingDecomposition
     cross_commutators_trivial: bool
 
 
@@ -396,7 +396,7 @@ def group_decompose(
 ) -> GroupDecomposition:
     """Decompose the underlying Lie ring, pull the factors through exp,
     and certify that cross-factor commutators are trivial."""
-    deco = decompose_char0(l.ring, seed)
+    deco = rings.decompose_char0(l.ring, seed)
     factors = []
     for comp in deco.components:
         sub = verify_nilpotent_lie(comp.ring)

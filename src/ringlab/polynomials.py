@@ -321,13 +321,17 @@ def _equal_degree_split_gfp(f: Poly, d: int):
     raise InvariantViolation("equal-degree split check: the candidate stream ran out without a split")
 
 
+def _factor_squarefree_gfp(f: Poly):
+    """The monic irreducible factors of a monic squarefree f over GF(p)."""
+    return [h for block, d in _distinct_degree_gfp(f) for h in _equal_degree_split_gfp(block, d)]
+
+
 def _factor_gfp(f: Poly):
-    out = []
-    for squarefree, mult in _squarefree_gfp(f.monic()):
-        for block, d in _distinct_degree_gfp(squarefree):
-            for irreducible in _equal_degree_split_gfp(block, d):
-                out.append((irreducible, mult))
-    return out
+    return [
+        (irreducible, mult)
+        for squarefree, mult in _squarefree_gfp(f.monic())
+        for irreducible in _factor_squarefree_gfp(squarefree)
+    ]
 
 
 # -- factorization over Q: Zassenhaus -----------------------------------------
@@ -379,7 +383,8 @@ def _zassenhaus(g):
             if gcd(gp, gp.derivative()).degree == 0:
                 break
         p += 1
-    modular = [h for h, _ in _factor_gfp(gp)]
+    # the prime search has checked that gp is squarefree
+    modular = _factor_squarefree_gfp(gp.monic())
     # Landau-Mignotte: a factor h of g has |h_i| <= 2^deg(g) * |g|_2, so h
     # scaled to leading coefficient lc lies in (-p^k/2, p^k/2)
     bound = lc * 2 ** (len(g) - 1) * (isqrt(sum(c * c for c in g)) + 1)

@@ -1,9 +1,10 @@
-"""Analysis pipelines and deterministic report rendering.
+"""Analysis pipelines.
 
 Each pipeline returns an ordered tree of plain values (dicts, lists,
-strings, ints, bools); rendering the same tree twice produces identical
-bytes.  Pipeline failures are wrapped in PipelineError carrying the stage
-name; a missing Z-module complement is analysis content, not a failure.
+strings, ints, bools), which cli renders; rendering the same tree twice
+produces identical bytes.  Pipeline failures are wrapped in PipelineError
+carrying the stage name; a missing Z-module complement is analysis
+content, not a failure.
 """
 
 from __future__ import annotations
@@ -377,37 +378,3 @@ def a_root_check(lf, rep) -> bool:
     value = lf.algebra.evaluate_poly(lf.residue_minpoly, rep.lifted_root)
     return lf.algebra.is_zero_elem(value)
 
-
-# -- rendering ---------------------------------------------------------------------
-
-
-def render_text(tree, indent: int = 0) -> str:
-    lines = []
-
-    def emit(key, value, depth):
-        prefix = "  " * depth
-        if isinstance(value, dict):
-            lines.append(f"{prefix}{key}:")
-            for k, v in value.items():
-                emit(k, v, depth + 1)
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                lines.append(f"{prefix}{key}: (none)")
-            elif all(not isinstance(v, (dict, list, tuple)) for v in value):
-                lines.append(f"{prefix}{key}: [" + ", ".join(str(v) for v in value) + "]")
-            else:
-                lines.append(f"{prefix}{key}:")
-                for i, v in enumerate(value):
-                    emit(f"[{i}]", v, depth + 1)
-        else:
-            lines.append(f"{prefix}{key}: {value}")
-
-    for k, v in tree.items():
-        emit(k, v, indent)
-    return "\n".join(lines) + "\n"
-
-
-def render_json(tree) -> str:
-    import json
-
-    return json.dumps(tree, indent=2) + "\n"

@@ -298,26 +298,37 @@ def _apply_action_in_n(report: ScalarRingReport, index: int, value, d: Domain, n
 
 
 def _certify_bilinearity(f: BilinearMap, report: ScalarRingReport) -> bool:
-    """f(Ax, y) = f(x, Ay) = A f(x, y), exactly, on all basis pairs."""
+    """f(Ax, y) = f(x, Ay) = A f(x, y), exactly, on all basis pairs.
+
+    A f(b_i, b_j) is read off the image coordinates of f(b_i, b_j), found
+    once per pair, and the N-vectors of A on the image basis, found once
+    per A."""
     d = f.m.domain
     n = f.m.dim
-    for idx, a in enumerate(report.algebra.basis):
+    width = range(f.n.dim)
+    actions = []
+    for a, on_image in zip(report.algebra.basis, report.action_on_image):
         # A b_i = sum of c b_l over the nonzero entries (c, l) of column i
         cols = [
             [(a.get(l, i), l) for l in range(n) if not d.is_zero(a.get(l, i))]
             for i in range(n)
         ]
-        for i in range(n):
-            for j in range(n):
+        columns = [on_image.col(k) for k in range(on_image.cols)]
+        moved = rows_through(columns, report.image_rows, field_carrier(d, f.n.dim))
+        actions.append((cols, moved))
+    for i in range(n):
+        for j in range(n):
+            coords = report.image.coords(f.tensor[i][j]) if f.support[i][j] else ()
+            if coords is None:
+                return False
+            terms = [(c, k) for k, c in enumerate(coords) if not d.is_zero(c)]
+            for cols, moved in actions:
                 left = f.combine((c, l, j) for c, l in cols[i])
                 right = f.combine((c, i, l) for c, l in cols[j])
-                if not f.support[i][j]:
-                    scaled = f.n.zero()
-                else:
-                    scaled = _apply_action_in_n(report, idx, f.tensor[i][j], d, f.n.dim)
-                if scaled is None:
-                    return False
-                if left != right or left != scaled:
+                scaled = [d.zero()] * len(width)
+                for c, k in terms:
+                    d.add_scaled(scaled, c, moved[k], width)
+                if left != right or left != tuple(scaled):
                     return False
     return True
 

@@ -12,12 +12,11 @@ from fractions import Fraction
 from importlib import resources
 
 from . import documents, reports
-from .bilinear import BilinearMap, field_carrier, foundation_addition_split
+from .bilinear import BilinearMap, RingPresentation, field_carrier, foundation_addition_split
 from .domains import PrimeField, QQ, ZZ
 from .errors import NoSplit, RinglabError
 from .lie import GroupElement, bch, group_mul, verify_nilpotent_lie
 from .linalg import Matrix, det_int, smith_normal_form
-from .rings import RingPresentation
 from .scalars import p_of_f, z_n_chain
 
 FIXTURE_NAMES = (

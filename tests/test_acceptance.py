@@ -320,7 +320,7 @@ def test_criterion_10_determinism():
     start = time.monotonic()
     first = run_selftest("quick")
     second = run_selftest("quick")
-    from ringlab.reports import render_json
+    from ringlab.cli import render_json
 
     assert render_json(first).encode() == render_json(second).encode()
     assert first["status"] == "pass"

@@ -697,6 +697,16 @@ def test_malcev_pow_reads_a_negative_exponent_after_double_dash():
     assert json.loads(out)["result"] == "(-3/2, 0, 0)"
 
 
+def test_an_option_after_the_positionals_of_malcev_pow_is_a_usage_error():
+    # argparse stops filling the positionals at the first option, so `-- -3/2`
+    # is left over: a usage error exits 2 with argparse's message
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["malcev", "pow", fixture_path("h3"), "(1,0,0)", "--format", "json", "--", "-3/2"])
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert "ringlab: error: unrecognized arguments: -- -3/2\n" in err.getvalue()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -416,8 +416,34 @@ def test_malcev_leaves_the_ring_pipelines_unexecuted():
 
     path = str(resources.files("ringlab.fixtures").joinpath("h3.json"))
     executed = _executed_after("malcev", "mul", path, "(1,0,0)", "(0,1,0)")
-    assert not {"artinian", "scalars", "polynomials", "gfenum", "selftest"} & executed
-    assert {"cli", "documents", "lie", "rings"} <= executed
+    unexecuted = {"rings", "reports", "artinian", "scalars", "polynomials", "gfenum", "selftest"}
+    assert not unexecuted & executed
+    assert {"cli", "documents", "lie", "bilinear"} <= executed
+
+
+@pytest.mark.parametrize("name", ["q-alg6", "q-mul4"])
+def test_analyze_on_an_algebra_or_a_bilinear_map_leaves_rings_and_lie_unexecuted(name):
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", f"{name}.json")
+    executed = _executed_after("analyze", path)
+    assert not {"rings", "lie"} & executed
+    assert {"reports", "documents", "artinian"} <= executed
+
+
+def test_import_ringlab_cli_leaves_rings_and_reports_unexecuted():
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, types\n"
+        "import ringlab.cli\n"
+        "ran = {name for name, module in sys.modules.items()\n"
+        "       if name.startswith('ringlab.') and type(module) is types.ModuleType}\n"
+        "assert not {'ringlab.rings', 'ringlab.reports'} & ran, ran\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
 
 
 def test_analyze_on_a_ring_over_q_leaves_lie_and_selftest_unexecuted():

@@ -233,3 +233,34 @@ def test_squarefree_decomposition_over_z_matches_sqf_list(parts):
     assert sorted((Poly.from_ints(QQ, h).monic().coeffs, m) for h, m in ours) == sorted(
         (_poly_from_sympy(f.as_expr()), m) for f, m in theirs
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=4), min_size=1, max_size=4),
+)
+@example(2, [[1, 1], [1, 1], [1, 1, 1]])
+@example(3, [[0, 0, 0, 1], [1, 0, 1]])
+def test_poly_factor_over_gfp_matches_factor_list(p, parts):
+    """Over GF(p), poly_factor gives sympy's monic factors and multiplicities,
+    and a squarefree product factors the same without the squarefree pass."""
+    from ringlab.domains import PrimeField
+    from ringlab.polynomials import _factor_squarefree_gfp
+
+    gf = PrimeField(p)
+    f = Poly.from_ints(gf, [1])
+    for ints in parts:
+        f = f.mul(Poly.from_ints(gf, ints))
+    if f.degree < 1:
+        return
+    ours = sorted((tuple(int(c) for c in h.coeffs), m) for h, m in poly_factor(f))
+    _, theirs = sympy.Poly([int(c) for c in reversed(f.coeffs)], X, modulus=p).factor_list()
+    monic = []
+    for h, m in theirs:
+        coeffs = [int(c) % p for c in reversed(h.all_coeffs())]
+        inv = pow(coeffs[-1], -1, p)
+        monic.append((tuple(c * inv % p for c in coeffs), m))
+    assert ours == sorted(monic)
+    if all(m == 1 for _, m in ours):
+        assert sorted(h.coeffs for h in _factor_squarefree_gfp(f.monic())) == [h for h, _ in ours]

@@ -21,8 +21,10 @@ requires, and a text that it refuses for one of them is exempt:
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringlab import documents
 from ringlab.documents import parse_json
 from ringlab.errors import ParseError
 from ringlab.records import record
@@ -358,3 +360,98 @@ def test_the_strict_exemptions_are_leading_zeros_and_raw_control_characters():
     for text, value in (("[0, -0, 10]", [0, 0, 10]), ('["\\t\\u0001"]', ["\t\x01"])):
         assert parse_json(text) == value
         assert not _exempt_text(text)
+
+
+# -- the stdlib fast path ------------------------------------------------------
+#
+# load_document reads a text with json.loads first and keeps the value only
+# where the scanner above reads the same.  For every text the fast path must
+# return exactly parse_json(text), types and key order included, or defer,
+# and it must never return a value where parse_json raises.
+
+
+def _golden_error_documents():
+    import os
+
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    names = sorted(name for name in os.listdir(inputs) if name.startswith("err-"))
+    assert len(names) == 9
+    texts = []
+    for name in names:
+        with open(os.path.join(inputs, name), encoding="utf-8") as handle:
+            texts.append(handle.read())
+    return texts
+
+
+DEPTH = documents.MAX_DEPTH
+# (text, whether the fast path reads it)
+FAST_PATH_SEEDS = [
+    # the fast path reads the documents that fail validation, not parsing
+    (text, _outcome(parse_json, text)[0] == "value")
+    for text in _golden_error_documents()
+] + [
+    ('\ufeff{"a": 1}', False),
+    ("[01]", False),
+    ('{"a": -00}', False),
+    ('["a\tb"]', False),
+    ('["\x00"]', False),
+    ("[NaN]", False),
+    ("[Infinity]", False),
+    ("[-Infinity]", False),
+    ("[1.5]", False),
+    ("[1e3]", False),
+    ('["\\ud800"]', False),
+    ('{"\\udc00": 1}', False),
+    ('["\\ud83d\\ude00"]', True),
+    ("[" * DEPTH + "]" * DEPTH, True),
+    ("[" * (DEPTH + 1) + "]" * (DEPTH + 1), False),
+    ('{"a": ' * DEPTH + "1" + "}" * DEPTH, True),
+    ('{"a": ' * (DEPTH + 1) + "1" + "}" * (DEPTH + 1), False),
+    ('{"a": 1, "b": 2, "a": 3}', True),
+    ("[1] [2]", False),
+    ('{"a": 1} x', False),
+    ("[-0, 0]", True),
+    ("-0", True),
+    ('"text"', True),
+    ("", False),
+    ("[1,]", False),
+]
+
+
+def _check_fast_path(text):
+    from ringlab.documents import _DEFER, _stdlib_json
+
+    fast = _stdlib_json(text)
+    if fast is _DEFER:
+        return False
+    assert ("value", _tagged(fast)) == _outcome(parse_json, text)
+    return True
+
+
+@pytest.mark.parametrize("text, fast", FAST_PATH_SEEDS)
+def test_the_fast_path_reads_what_parse_json_reads_or_defers(text, fast):
+    assert _check_fast_path(text) is fast
+
+
+def test_the_fast_path_on_a_5000_digit_integer():
+    import sys
+
+    text = "[" + "7" * 5000 + "]"
+    limit = sys.get_int_max_str_digits()
+    # under Python's default limit both readers refuse the digits
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert not _check_fast_path(text)
+        with pytest.raises(ValueError):
+            parse_json(text)
+        # as under the command line, which lifts the limit
+        sys.set_int_max_str_digits(0)
+        assert _check_fast_path(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_like_texts() | st.text(max_size=30))
+def test_the_fast_path_returns_parse_json_or_defers(text):
+    _check_fast_path(text)

@@ -17,9 +17,10 @@ PUBLIC = {
         "field_of_representatives", "j_series", "local_decomposition", "r_k_module", "radical",
     ),
     "bilinear": (
-        "BilinearMap", "BilinearSplit", "Carrier", "Subspace", "WidthReport", "field_carrier",
-        "foundation_addition_split", "image_submodule", "is_full", "is_identically_degenerate",
-        "is_nondegenerate", "module_carrier", "torsion_split", "two_sided_kernel", "width",
+        "BilinearMap", "BilinearSplit", "Carrier", "RingPresentation", "Subspace", "WidthReport",
+        "field_carrier", "foundation_addition_split", "image_submodule", "is_full",
+        "is_identically_degenerate", "is_nondegenerate", "module_carrier", "torsion_split",
+        "two_sided_kernel", "width",
     ),
     "domains": ("Extension", "Integers", "PrimeField", "QQ", "Rationals", "Residues", "ZZ"),
     "errors": ("RinglabError",),
@@ -35,9 +36,9 @@ PUBLIC = {
     ),
     "polynomials": ("Poly", "poly_factor"),
     "rings": (
-        "RingPresentation", "annihilator", "categoricity_check", "central_split_mixed",
-        "decompose_bounded", "decompose_char0", "foundation_addition", "is_regular",
-        "model_construct", "square_ideal", "verbal_ideal",
+        "annihilator", "categoricity_check", "central_split_mixed", "decompose_bounded",
+        "decompose_char0", "foundation_addition", "is_regular", "model_construct", "square_ideal",
+        "verbal_ideal",
     ),
     "scalars": (
         "EndoAlgebra", "ScalarRingReport", "decompose_via_scalars", "largest_scalar_action",

@@ -570,7 +570,7 @@ def test_mixed_carrier_ideals_and_regularity():
 def test_analyze_computes_ann_and_square_once_per_presentation(monkeypatch, path):
     from pathlib import Path
 
-    from ringlab import rings
+    from ringlab import bilinear
     from ringlab.documents import load_document
     from ringlab.reports import analyze
 
@@ -580,7 +580,7 @@ def test_analyze_computes_ann_and_square_once_per_presentation(monkeypatch, path
     counts = {"two_sided_kernel": 0, "image_submodule": 0}
 
     def counted(name):
-        real = getattr(rings, name)
+        real = getattr(bilinear, name)
 
         def wrapper(g):
             counts[name] += g is f
@@ -589,7 +589,7 @@ def test_analyze_computes_ann_and_square_once_per_presentation(monkeypatch, path
         return wrapper
 
     for name in counts:
-        monkeypatch.setattr(rings, name, counted(name))
+        monkeypatch.setattr(bilinear, name, counted(name))
     analyze(doc)
     assert counts == {"two_sided_kernel": 1, "image_submodule": 1}
     # every caller gets a list of its own, never the cached rows

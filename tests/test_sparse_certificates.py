@@ -312,3 +312,80 @@ def test_the_drawn_rings_cover_every_flag():
     brackets = {(0, 1): (2, 1), (1, 2): (0, 1), (0, 2): (2, 1)}
     jac = RingPresentation(field_carrier(QQ, 3), _lie(3, brackets))
     assert jac.lie_witness() == dense_lie_witness(jac) and len(jac.lie_witness()) == 3
+
+
+def parent_certify_bilinearity(f, report):
+    """The certificate before the image coordinates were read once per pair
+    and each action once per basis element, copied unchanged."""
+    d = f.m.domain
+    n = f.m.dim
+    for idx, a in enumerate(report.algebra.basis):
+        # A b_i = sum of c b_l over the nonzero entries (c, l) of column i
+        cols = [
+            [(a.get(l, i), l) for l in range(n) if not d.is_zero(a.get(l, i))]
+            for i in range(n)
+        ]
+        for i in range(n):
+            for j in range(n):
+                left = f.combine((c, l, j) for c, l in cols[i])
+                right = f.combine((c, i, l) for c, l in cols[j])
+                if not f.support[i][j]:
+                    scaled = f.n.zero()
+                else:
+                    scaled = _apply_action_in_n(report, idx, f.tensor[i][j], d, f.n.dim)
+                if scaled is None:
+                    return False
+                if left != right or left != scaled:
+                    return False
+    return True
+
+
+def _golden_certified_reports():
+    """Every (f, report) that analyze certifies on the golden bilinear and
+    ring documents."""
+    import json
+    import os
+
+    from ringlab import scalars
+    from ringlab.documents import load_document
+    from ringlab.reports import analyze
+
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    seen = []
+    real = scalars._certify_bilinearity
+
+    def recording(f, report):
+        seen.append((f, report))
+        return real(f, report)
+
+    scalars._certify_bilinearity = recording
+    try:
+        for name in sorted(os.listdir(inputs)):
+            with open(os.path.join(inputs, name), encoding="utf-8") as handle:
+                text = handle.read()
+            if name.startswith("err-") or json.loads(text)["kind"] not in ("bilinear", "ring"):
+                continue
+            analyze(load_document(text))
+    finally:
+        scalars._certify_bilinearity = real
+    return seen
+
+
+def test_bilinearity_certificate_matches_the_parent_body_on_golden_reports():
+    reports = _golden_certified_reports()
+    assert len(reports) >= 5
+    tampered_count = 0
+    for f, report in reports:
+        assert _certify_bilinearity(f, report) is parent_certify_bilinearity(f, report) is True
+        # one entry of one action on the image moved by one: no longer A on im(f)
+        action = report.action_on_image[-1]
+        if not action.entries:
+            continue
+        d = action.domain
+        entries = list(action.entries)
+        entries[0] = d.add(entries[0], d.one())
+        moved = Matrix(d, action.rows, action.cols, tuple(entries))
+        tampered = replace(report, action_on_image=report.action_on_image[:-1] + (moved,))
+        assert _certify_bilinearity(f, tampered) is parent_certify_bilinearity(f, tampered) is False
+        tampered_count += 1
+    assert tampered_count >= 5
